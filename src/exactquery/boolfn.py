@@ -15,6 +15,9 @@ import numpy as np
 
 MAX_N = 27
 DEFAULT_DCAP = 12
+# Largest n whose exact-depth tables stay under 1 GB: the 3**n-state sweep
+# peaks at about 5.3 bytes per state.  Larger n is refused whatever the cap.
+MAX_DCAP = 17
 
 _BIT_CHARS = {"0": 0, "1": 1}
 
@@ -100,11 +103,16 @@ class BooleanFunction:
 
     @classmethod
     def from_packed(cls, n: int, packed: bytes) -> "BooleanFunction":
+        """Inverse of ``packed()``; the padding bits after entry 2**n must be zero."""
+        if not 1 <= n <= MAX_N:
+            raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
         nbytes = -(-(1 << n) // 8)
         if len(packed) != nbytes:
-            raise ValueError(f"packed table must have {nbytes} bytes")
-        bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))[: 1 << n]
-        return cls(n, bits)
+            raise ValueError(f"packed table must have {nbytes} bytes for n={n}")
+        bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))
+        if bits[1 << n :].any():
+            raise ValueError("padding bits after the truth table must be zero")
+        return cls(n, bits[: 1 << n])
 
     @classmethod
     def from_callable(cls, n: int, fn: Callable[[tuple[int, ...]], int]) -> "BooleanFunction":
@@ -174,13 +182,7 @@ class BooleanFunction:
             packed = bytes.fromhex(data["table_hex"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed truth-table JSON: {exc}") from exc
-        if not 1 <= n <= MAX_N:
-            raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
-        nbytes = -(-(1 << n) // 8)
-        if len(packed) != nbytes:
-            raise ValueError(f"table_hex must encode {nbytes} bytes for n={n}")
-        bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))[: 1 << n]
-        return cls(n, bits)
+        return cls.from_packed(n, packed)
 
 
 def evaluate(f: BooleanFunction, x) -> int:
@@ -287,76 +289,68 @@ def _partial_assignment_tables(f: BooleanFunction) -> tuple[np.ndarray, np.ndarr
     completions.  Constant restrictions have depth 0; the full function's
     depth sits at the all-free code ``3**n - 1``.
 
-    States are processed by increasing number of free variables, so both
-    children of every min/max step are already final.  This is the usual
-    minimax recursion, run bottom-up so it vectorizes.
+    Both tables are the flattened C-order ``(3,) * n`` cube whose axis ``a``
+    is variable ``x_{a+1}``.  Flags come from an OR over each axis, seeded on
+    the all-fixed corner by the truth table.  Round ``d`` solves every state
+    with a free axis whose two children were solved before the round, and
+    each state's depth counts the rounds that left it unsolved.  The rounds
+    stop once the all-free state is solved; restriction never increases
+    depth, so every state is solved by then and every entry is final.
     """
     n = f.n
-    size = 3**n
-    pow3 = [3**j for j in range(n)]
-    codes = np.arange(size, dtype=np.int64)
-    digits = np.empty((n, size), dtype=np.int8)
-    rem = codes
-    for j in range(n):
-        digits[j] = rem % 3
-        rem = rem // 3
-    free_count = (digits == 2).sum(axis=0, dtype=np.int8)
+    if n > MAX_DCAP:
+        raise ValueError(f"exact depth needs 3**n states; capped at n={MAX_DCAP}, got n={n}")
+    shape = (3,) * n
+    flags = np.zeros(shape, dtype=np.uint8)
+    flags[(slice(0, 2),) * n] = f.table().reshape((2,) * n) + 1
+    for a in range(n):
+        v = np.moveaxis(flags, a, 0)
+        v[2, ...] = v[0] | v[1]
 
-    depth = np.full(size, np.iinfo(np.int8).max, dtype=np.int8)
-    flags = np.zeros(size, dtype=np.uint8)
-
-    inputs = np.arange(1 << n, dtype=np.int64)
-    assigned = np.zeros(1 << n, dtype=np.int64)
-    for j in range(n):
-        assigned += ((inputs >> j) & 1) * pow3[j]
-    depth[assigned] = 0
-    flags[assigned] = np.where(f.table() == 0, 1, 2).astype(np.uint8)
-
-    for k in range(1, n + 1):
-        level = np.flatnonzero(free_count == k)
-        for j in range(n):
-            sel = level[digits[j, level] == 2]
-            if sel.size == 0:
-                continue
-            child0 = sel - 2 * pow3[j]
-            child1 = sel - pow3[j]
-            flags[sel] |= flags[child0] | flags[child1]
-            cand = 1 + np.maximum(depth[child0], depth[child1])
-            depth[sel] = np.minimum(depth[sel], cand)
-        const = level[flags[level] != 3]
-        depth[const] = 0
-    return depth, flags
+    solved = flags != 3
+    grown = np.empty_like(solved)
+    depth = (~solved).astype(np.int8)
+    while not solved.flat[-1]:
+        np.copyto(grown, solved)
+        for a in range(n):
+            s, g = np.moveaxis(solved, a, 0), np.moveaxis(grown, a, 0)
+            g[2, ...] |= s[0] & s[1]
+        solved, grown = grown, solved
+        depth += ~solved
+    return depth.reshape(-1), flags.reshape(-1)
 
 
 def deterministic_complexity(f: BooleanFunction, cap: int = DEFAULT_DCAP) -> Optional[int]:
-    """Exact decision-tree depth of f, or None when f.n exceeds the cap."""
+    """Exact decision-tree depth of f: None above the cap, ValueError above MAX_DCAP."""
     if f.n > cap:
         return None
     depth, _ = _partial_assignment_tables(f)
     return int(depth[3**f.n - 1])
 
 
+def complement_symmetric_functions(n: int) -> list[BooleanFunction]:
+    """All n-variable functions with f(x) == f(~x), one per choice mask.
+
+    Bit i of the choice is the value on the complement pair {i, ~i}, for
+    table indices i below 2**(n-1).
+    """
+    half = 1 << (n - 1)
+    choices = ((choice >> np.arange(half)) & 1 for choice in range(1 << half))
+    return [BooleanFunction(n, np.concatenate([v, v[::-1]])) for v in choices]
+
+
 def enumerate_complement_symmetric_full_d(n: int) -> list[BooleanFunction]:
     """All complement-symmetric n-variable functions with depth exactly n.
 
-    Candidates are generated by choosing a value freely on each complement
-    pair {x, ~x}; supported for n in {3, 4}.  Sorted by truth-table value
-    (index-0 entry most significant).
+    Supported for n in {3, 4}.  Sorted by truth-table value (index-0 entry
+    most significant).
     """
     if n not in (3, 4):
         raise ValueError(f"enumeration supported for n in {{3, 4}}, got {n}")
-    half = 1 << (n - 1)
-    full = (1 << n) - 1
-    found = []
-    for choice in range(1 << half):
-        table = np.zeros(1 << n, dtype=np.uint8)
-        for cls_index in range(half):
-            v = (choice >> cls_index) & 1
-            table[cls_index] = v
-            table[full ^ cls_index] = v
-        f = BooleanFunction(n, table)
-        if deterministic_complexity(f, cap=n) == n:
-            found.append(f)
+    found = [
+        f for f in complement_symmetric_functions(n)
+        if deterministic_complexity(f, cap=n) == n
+    ]
     found.sort(key=lambda g: tuple(g.table()))
     return found
 
@@ -415,9 +409,9 @@ class ComplexityReport:
 def complexity_report(f: BooleanFunction, dcap: int = DEFAULT_DCAP) -> ComplexityReport:
     from . import polynomial
 
+    d_exact = deterministic_complexity(f, cap=dcap)
     s = sensitivity(f)
     deg = polynomial.degree_of(f)
-    d_exact = deterministic_complexity(f, cap=dcap)
     return ComplexityReport(
         n=f.n,
         sensitivity=s,

@@ -74,7 +74,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         _info(str(exc))
         return EXIT_USAGE
     dcap = args.dcap if args.dcap is not None else _env_int("EXACTQUERY_DCAP", boolfn.DEFAULT_DCAP)
-    report = boolfn.complexity_report(f, dcap=dcap)
+    try:
+        report = boolfn.complexity_report(f, dcap=dcap)
+    except ValueError as exc:
+        _info(str(exc))
+        return EXIT_USAGE
     _emit(report.to_json_dict())
     _info(f"analyzed n={f.n} function: sensitivity {report.sensitivity}, degree {report.degree}")
     return EXIT_OK

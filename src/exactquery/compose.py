@@ -126,14 +126,14 @@ class HybridAlgorithm:
         f1: BooleanFunction,
         inner: qsim.QueryAlgorithm,
     ) -> "HybridAlgorithm":
-        d = boolfn.deterministic_complexity(h)
-        if d != h.n:
+        tree = build_decision_tree(h)
+        if tree.depth() != h.n:
             raise ValueError(
-                f"outer function must need all its variables (depth {d} != n {h.n})"
+                f"outer function must need all its variables (depth {tree.depth()} != n {h.n})"
             )
         if not qsim.is_exact(inner, f1):
             raise ValueError("inner algorithm is not exact for the inner function")
-        return cls(build_decision_tree(h), inner, f1)
+        return cls(tree, inner, f1)
 
 
 def hybrid_evaluate(hy: HybridAlgorithm, x) -> tuple[int, int]:

@@ -465,7 +465,11 @@ def algorithm_to_json_dict(alg: QueryAlgorithm) -> dict:
 
 
 def algorithm_from_json_dict(data: dict) -> QueryAlgorithm:
-    """Exact-mode decoder; variable numbers in query layers are 1-based."""
+    """Exact-mode decoder; variable numbers in query layers are 1-based.
+
+    Unitary entries must be strings: a JSON number such as ``0.7071`` is not
+    an exact scalar and is rejected.
+    """
     try:
         dim = int(data["dim"])
         n = int(data["n"])
@@ -476,7 +480,10 @@ def algorithm_from_json_dict(data: dict) -> QueryAlgorithm:
     layers: list[Layer] = []
     for entry in raw_layers:
         if "unitary" in entry:
-            layers.append(UnitaryMatrix.from_values(entry["unitary"]))
+            rows = entry["unitary"]
+            if not all(isinstance(v, str) for row in rows for v in row):
+                raise ValueError('exact scalars must be JSON strings such as "1/2 r2"')
+            layers.append(UnitaryMatrix.from_values(rows))
         elif "query" in entry:
             assignment = tuple(
                 None if v is None else int(v) - 1 for v in entry["query"]

@@ -122,16 +122,8 @@ def suite_table2() -> dict:
 def suite_relabel3() -> dict:
     alg = qsim.a1()
     checks = []
-    half = 1 << 2
-    full = (1 << 3) - 1
     count = 0
-    for choice in range(1 << half):
-        table = [0] * (1 << 3)
-        for cls_index in range(half):
-            v = (choice >> cls_index) & 1
-            table[cls_index] = v
-            table[full ^ cls_index] = v
-        f = BooleanFunction(3, table)
+    for f in boolfn.complement_symmetric_functions(3):
         relabeled = qsim.relabel_outputs(alg, f)
         ok = qsim.is_exact(relabeled, f) and relabeled.query_count == 2
         count += ok

@@ -104,6 +104,10 @@ def test_table_json_round_trip():
         BooleanFunction.from_json_dict({"n": 3, "table_hex": "abcd"})  # wrong length
     with pytest.raises(ValueError):
         BooleanFunction.from_json_dict({"n": 3})
+    with pytest.raises(ValueError):
+        BooleanFunction.from_json_dict({"n": 2, "table_hex": "1f"})  # padding bits set
+    with pytest.raises(ValueError):
+        BooleanFunction.from_packed(2, bytes([0x1F]))
 
 
 def test_equality_and_hash():
@@ -217,6 +221,46 @@ def test_depth_matches_naive_random():
         assert deterministic_complexity(f) == naive_depth(list(f.table()), n)
 
 
+def _restriction(table, n, code):
+    """Sub-table of the variables left free (digit 2) by a ternary code."""
+    digits = [(code // 3 ** (n - 1 - var)) % 3 for var in range(n)]
+    free = [var for var in range(n) if digits[var] == 2]
+    sub = []
+    for i in range(1 << len(free)):
+        bits = list(digits)
+        for k, var in enumerate(free):
+            bits[var] = (i >> (len(free) - 1 - k)) & 1
+        sub.append(table[int("".join(map(str, bits)), 2)])
+    return sub, len(free)
+
+
+def _check_every_state(f):
+    table = list(f.table())
+    depth, flags = boolfn._partial_assignment_tables(f)
+    assert depth.shape == flags.shape == (3**f.n,)
+    d_full = naive_depth(table, f.n)
+    for code in range(3**f.n):
+        sub, k = _restriction(table, f.n, code)
+        assert flags[code] == (1 if 0 in sub else 0) | (2 if 1 in sub else 0), (table, code)
+        assert depth[code] == naive_depth(sub, k) <= d_full, (table, code)
+
+
+def test_depth_tables_every_state():
+    for n in (1, 2, 3):
+        for code in range(1 << (1 << n)):
+            _check_every_state(BooleanFunction(n, [(code >> i) & 1 for i in range(1 << n)]))
+    rng = random.Random(29)
+    for n in (4, 4, 5, 5):
+        _check_every_state(random_function(rng, n))
+
+
+def test_depth_refuses_more_than_max_dcap(monkeypatch):
+    monkeypatch.setattr(boolfn, "MAX_DCAP", 3)
+    assert deterministic_complexity(named_function("F3")) == 3
+    with pytest.raises(ValueError):
+        deterministic_complexity(named_function("G4"), cap=20)
+
+
 def test_depth_sensitivity_bounds_random():
     rng = random.Random(17)
     for _ in range(40):
@@ -265,6 +309,18 @@ def test_enumeration_n4_contains_table2():
     parity = BooleanFunction(4, [bin(i).count("1") & 1 for i in range(16)])
     assert parity in computed_set  # symmetric with full depth, outside the table
     assert {tuple(f.table()) for f in computed} == _enumerate_naive(4)
+
+
+def test_complement_symmetric_functions_match_naive_loop():
+    for n in (1, 2, 3, 4):
+        half, full = 1 << (n - 1), (1 << n) - 1
+        expected = []
+        for choice in range(1 << half):
+            table = [0] * (1 << n)
+            for cls_index in range(half):
+                table[cls_index] = table[full ^ cls_index] = (choice >> cls_index) & 1
+            expected.append(tuple(table))
+        assert [tuple(f.table()) for f in boolfn.complement_symmetric_functions(n)] == expected
 
 
 def test_enumeration_rejects_other_arities():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from exactquery import cli, qsim
+from exactquery import boolfn, cli, qsim
 from exactquery.boolfn import BooleanFunction
 
 
@@ -56,6 +56,22 @@ def test_analyze_malformed_file(tmp_path, capsys):
     path.write_text("{not json")
     code, _ = run(capsys, "analyze", str(path))
     assert code == 2
+
+
+def test_analyze_rejects_nonzero_padding(tmp_path, capsys):
+    path = tmp_path / "padded.json"
+    path.write_text(json.dumps({"n": 2, "table_hex": "1f"}))
+    code, doc = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert doc is None
+
+
+def test_analyze_depth_over_max_dcap_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(boolfn, "MAX_DCAP", 3)
+    assert cli.main(["analyze", "builtin:G4", "--dcap", "20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "capped at n=3" in captured.err
 
 
 def test_analyze_unknown_builtin(capsys):
@@ -116,6 +132,15 @@ def test_simulate_rejects_bad_file(tmp_path, capsys):
         {"unitary": [["1", "1"], ["1", "1"]]}], "outputs": [0, 1]}))
     code, _ = run(capsys, "simulate", "--alg", str(path), "--input", "0")
     assert code == 2
+
+
+def test_simulate_rejects_json_numbers_in_exact_mode(tmp_path, capsys):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"dim": 2, "n": 1, "layers": [
+        {"unitary": [[1.0, 0], [0, 1]]}], "outputs": [0, 1]}))
+    code, doc = run(capsys, "simulate", "--alg", str(path), "--input", "0")
+    assert code == 2
+    assert doc is None
 
 
 # ---------------------------------------------------------------------------
