@@ -42,7 +42,6 @@ from .lowdeg import (
 from .polynomial import (
     MultilinearPolynomial,
     RangePolynomial,
-    degree_mod_p,
     degree_of,
     find_collapser,
     fit_range_polynomial,

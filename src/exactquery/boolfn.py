@@ -418,6 +418,6 @@ def complexity_report(f: BooleanFunction, dcap: int = DEFAULT_DCAP) -> Complexit
         d_exact=d_exact,
         d_lower=max(s, deg),
         degree=deg,
-        qe_lower=polynomial.qe_lower_bound(f),
+        qe_lower=(deg + 1) // 2,
         complement_symmetric=complement_symmetric(f),
     )

@@ -2,8 +2,10 @@
 
 Human-readable summaries go to stderr.  Exit status: 0 success / confirmed,
 1 verification failure or unconfirmed report, 2 usage or input error.
-Environment knobs: EXACTQUERY_DCAP (default exact-depth cap) and
-EXACTQUERY_EXACT_CAP (interpolation ceiling for certification).
+Environment knob: EXACTQUERY_DCAP (default exact-depth cap, overridden by
+--dcap).  Truth tables, exact degree and certification run up to
+boolfn.MAX_N variables; polynomial emission stops at
+polynomial.INTERPOLATION_CAP.
 """
 
 from __future__ import annotations
@@ -30,14 +32,19 @@ def _info(message: str) -> None:
     sys.stderr.write(message + "\n")
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
+def _dcap(flag: Optional[int]) -> int:
+    """The exact-depth cap: --dcap, else EXACTQUERY_DCAP, else the default."""
+    if flag is not None:
+        source, raw = "--dcap", flag
+    else:
+        source, raw = "EXACTQUERY_DCAP", os.environ.get("EXACTQUERY_DCAP", boolfn.DEFAULT_DCAP)
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
-        raise SystemExit(f"environment variable {name}={raw!r} is not an integer")
+        value = -1
+    if value < 0:
+        raise ValueError(f"{source}={raw!r} is not a nonnegative integer")
+    return value
 
 
 def _load_function(spec: str) -> BooleanFunction:
@@ -70,12 +77,7 @@ def _load_algorithm(spec: str) -> qsim.QueryAlgorithm:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     try:
         f = _load_function(args.fn)
-    except ValueError as exc:
-        _info(str(exc))
-        return EXIT_USAGE
-    dcap = args.dcap if args.dcap is not None else _env_int("EXACTQUERY_DCAP", boolfn.DEFAULT_DCAP)
-    try:
-        report = boolfn.complexity_report(f, dcap=dcap)
+        report = boolfn.complexity_report(f, dcap=_dcap(args.dcap))
     except ValueError as exc:
         _info(str(exc))
         return EXIT_USAGE
@@ -149,30 +151,17 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     except ValueError as exc:
         _info(str(exc))
         return EXIT_USAGE
-    exact_cap = _env_int("EXACTQUERY_EXACT_CAP", lowdeg.DEFAULT_EXACT_CAP)
-    if args.emit == "table":
-        if cf.n > lowdeg.TABLE_CAP:
-            _info(f"truth table emission capped at n={lowdeg.TABLE_CAP}; n={cf.n}")
-            return EXIT_USAGE
-        _emit(cf.to_boolean_function().to_json_dict())
-        return EXIT_OK
-    if args.emit == "poly":
-        if cf.n > exact_cap:
-            _info(f"polynomial emission capped at n={exact_cap}; n={cf.n}")
-            return EXIT_USAGE
-        poly = polynomial.interpolate(cf.to_boolean_function())
-        _emit(poly.to_json_dict())
-        return EXIT_OK
-    mode = args.mode
-    if mode == "auto" and args.mod_p is not None:
-        mode = "mod-p"
+    if args.emit == "poly" and cf.n > polynomial.INTERPOLATION_CAP:
+        _info(f"polynomial emission capped at n={polynomial.INTERPOLATION_CAP}; n={cf.n}")
+        return EXIT_USAGE
     try:
-        report = lowdeg.certify(
-            cf,
-            mode=mode,
-            prime=args.mod_p if args.mod_p is not None else lowdeg.DEFAULT_PRIME,
-            exact_cap=exact_cap,
-        )
+        if args.emit == "table":
+            _emit(cf.to_boolean_function().to_json_dict())
+            return EXIT_OK
+        if args.emit == "poly":
+            _emit(polynomial.interpolate(cf.to_boolean_function()).to_json_dict())
+            return EXIT_OK
+        report = lowdeg.certify(cf, mode=args.mode)
     except ValueError as exc:
         _info(str(exc))
         return EXIT_USAGE
@@ -250,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="emit a constructed family member")
     p.add_argument("--family", required=True, help="f9 | f12 | f3k:K | lemma3:K,T")
     p.add_argument("--emit", choices=("table", "poly", "report"), default="report")
-    p.add_argument("--mode", choices=("auto", "exact", "mod-p", "structural"), default="auto")
-    p.add_argument("--mod-p", dest="mod_p", type=int, default=None, help="prime for mod-p mode")
+    p.add_argument("--mode", choices=("auto", "exact", "structural"), default="auto")
     p.set_defaults(handler=_cmd_construct)
 
     p = sub.add_parser("fit-collapser", help="fit or search range collapsers")

@@ -8,7 +8,7 @@ block sums of an already-Boolean polynomial gives the same degree doubling
 with tripled arity.
 
 Functions built here are evaluator-backed; truth tables are materialized
-only when small enough for the interpolation kernels.
+only up to ``boolfn.MAX_N`` variables.
 """
 
 from __future__ import annotations
@@ -20,13 +20,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import polynomial
-from .boolfn import BooleanFunction, InputAssignment, coerce_input
+from .boolfn import MAX_N, BooleanFunction, InputAssignment, coerce_input
 from .polynomial import find_collapser, published_k7_collapser, collapser_transcription_report
-
-TABLE_CAP = 24           # materialize to BooleanFunction only below this
-ARRAY_CAP = 27           # raw table arrays (mod-p probing) up to this
-DEFAULT_EXACT_CAP = 21
-DEFAULT_PRIME = 1_000_003
 
 # the degree-2 collapser for {0..3}: values 1,0,0,1
 _S_VALUES = (1, 0, 0, 1)
@@ -156,13 +151,15 @@ class ConstructedFunction:
         return self.value_at(coerce_input(x, self.n).index)
 
     def table(self) -> np.ndarray:
-        if self.table_builder is None or self.n > ARRAY_CAP:
+        if not self.has_table:
             raise ValueError(f"no truth table available for n={self.n}")
         return self.table_builder()
 
+    @property
+    def has_table(self) -> bool:
+        return self.table_builder is not None and self.n <= MAX_N
+
     def to_boolean_function(self) -> BooleanFunction:
-        if self.n > TABLE_CAP:
-            raise ValueError(f"materialization capped at n={TABLE_CAP}")
         return BooleanFunction(self.n, self.table())
 
 
@@ -270,7 +267,7 @@ def p4_base() -> ConstructedFunction:
 
 
 def _triple_table_builder(prev: ConstructedFunction) -> Optional[Callable[[], np.ndarray]]:
-    if prev.table_builder is None or 3 * prev.n > ARRAY_CAP:
+    if prev.table_builder is None or 3 * prev.n > MAX_N:
         return None
 
     def build() -> np.ndarray:
@@ -427,61 +424,23 @@ def witness_sensitivity(cf: ConstructedFunction) -> int:
     )
 
 
-def _next_prime(p: int) -> int:
-    candidate = p + 1
-    while True:
-        if candidate % 2 and all(candidate % d for d in range(3, int(candidate**0.5) + 1, 2)):
-            return candidate
-        candidate += 1
-
-
-def certify(
-    cf: ConstructedFunction,
-    mode: str = "auto",
-    prime: int = DEFAULT_PRIME,
-    exact_cap: int = DEFAULT_EXACT_CAP,
-) -> ConstructionReport:
+def certify(cf: ConstructedFunction, mode: str = "auto") -> ConstructionReport:
     """Compare claimed degree and depth evidence against computed values.
 
-    Modes: "exact" interpolates the full integer coefficient table (n up to
-    the cap), "mod-p" runs the same transform over GF(prime) and yields a
-    lower bound on the degree, "structural" echoes the claims.  "auto" picks
-    the strongest mode the arity allows.
+    Modes: "exact" runs the integer subset transform of the truth table (n up
+    to ``boolfn.MAX_N``), "structural" echoes the claims.  "auto" picks exact
+    whenever a truth table exists.
     """
     if mode == "auto":
-        if cf.n <= exact_cap:
-            mode = "exact"
-        elif cf.n <= ARRAY_CAP and cf.table_builder is not None:
-            mode = "mod-p"
-        else:
-            mode = "structural"
-    notes = list(cf.notes)
+        mode = "exact" if cf.has_table else "structural"
     computed: Optional[int] = None
     reason: Optional[str] = None
     degree_mode: Optional[str] = None
 
     if mode == "exact":
-        if cf.n > exact_cap:
-            raise ValueError(f"exact certification capped at n={exact_cap}")
         coeffs = polynomial.mobius_coefficients(cf.table())
         computed = polynomial._max_popcount_nonzero(coeffs)
         degree_mode = "exact"
-    elif mode == "mod-p":
-        if cf.n > ARRAY_CAP:
-            raise ValueError(f"mod-p certification capped at n={ARRAY_CAP}")
-        if prime <= 1 << 16:
-            raise ValueError("mod-p certification needs a prime above 2^16")
-        computed = polynomial.degree_mod_p(cf, prime)
-        degree_mode = f"mod-{prime}"
-        if computed < cf.claimed_degree:
-            retry_prime = _next_prime(prime)
-            retry = polynomial.degree_mod_p(cf, retry_prime)
-            notes.append(
-                f"modular degree {computed} below claim with prime {prime}; "
-                f"retried with {retry_prime} giving {retry} (modular degrees "
-                "are lower bounds on the true degree)"
-            )
-            computed = max(computed, retry)
     elif mode == "structural":
         reason = f"n={cf.n} exceeds brute-force scope"
     else:
@@ -506,5 +465,5 @@ def certify(
         witness_sensitivity=ws,
         qe_lower=(deg_for_bound + 1) // 2,
         status=status,
-        notes=tuple(notes),
+        notes=tuple(cf.notes),
     )

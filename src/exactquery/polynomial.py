@@ -19,9 +19,9 @@ import numpy as np
 
 from .boolfn import BooleanFunction, coerce_input
 
-DEFAULT_INTERPOLATION_CAP = 24
-DEFAULT_EXACT_DEGREE_CAP = 21
-MOD_P_CAP = 27
+# interpolate builds one Fraction per term; every 2^n array is otherwise
+# bounded by boolfn.MAX_N alone
+INTERPOLATION_CAP = 24
 
 _CHUNK = 1 << 22
 
@@ -38,34 +38,35 @@ def _popcount16() -> np.ndarray:
     return _pc16
 
 
-def mobius_coefficients(table: np.ndarray) -> np.ndarray:
-    """Multilinear coefficients of a 0/1 table, as an int64 array by mask.
+def _subset_transform(a: np.ndarray, sign: int) -> np.ndarray:
+    """In-place subset transform of a contiguous 2^n array, one pass per variable.
 
-    In-place subset transform, one pass per variable; n * 2^n additions.
-    Coefficient magnitudes are below 2^n, so int64 is exact for n <= 27.
+    Sign -1 turns values into coefficients (Mobius), +1 turns coefficients
+    back into values (zeta); either way n * 2^n additions.
     """
-    a = np.asarray(table).astype(np.int64)
     n = int(a.size).bit_length() - 1
     if a.size != 1 << n:
         raise ValueError("table length must be a power of two")
+    op = np.subtract if sign < 0 else np.add
     for b in range(n):
-        step = 1 << b
-        a = a.reshape(-1, 2, step)
-        np.subtract(a[:, 1, :], a[:, 0, :], out=a[:, 1, :])
-        a = a.reshape(-1)
+        v = a.reshape(-1, 2, 1 << b)
+        op(v[:, 1, :], v[:, 0, :], out=v[:, 1, :])
     return a
+
+
+def mobius_coefficients(table: np.ndarray) -> np.ndarray:
+    """Multilinear coefficients of a 0/1 table, as an int32 array by mask.
+
+    Every coefficient, and every intermediate value of the transform, is an
+    alternating sum of 0/1 values over at most 2^n subsets, so its magnitude
+    is at most 2^(n-1): int32 is exact for n <= 31, beyond ``boolfn.MAX_N``.
+    """
+    return _subset_transform(np.asarray(table).astype(np.int32), -1)
 
 
 def evaluate_coefficients(coeffs: np.ndarray) -> np.ndarray:
     """Inverse (zeta) transform: table of values from coefficients by mask."""
-    a = np.asarray(coeffs).astype(np.int64).copy()
-    n = int(a.size).bit_length() - 1
-    for b in range(n):
-        step = 1 << b
-        a = a.reshape(-1, 2, step)
-        np.add(a[:, 1, :], a[:, 0, :], out=a[:, 1, :])
-        a = a.reshape(-1)
-    return a
+    return _subset_transform(np.asarray(coeffs).astype(np.int64), 1)
 
 
 def _max_popcount_nonzero(coeffs: np.ndarray) -> int:
@@ -198,13 +199,15 @@ class MultilinearPolynomial:
         return cls(int(data["n"]), terms)
 
 
-def interpolate(f: BooleanFunction, cap: int = DEFAULT_INTERPOLATION_CAP) -> MultilinearPolynomial:
+def interpolate(f: BooleanFunction) -> MultilinearPolynomial:
     """The unique multilinear polynomial matching f on every input.
 
     Coefficients of a 0/1-valued table are always integers.
     """
-    if f.n > cap:
-        raise ValueError(f"interpolation needs 2^{f.n} coefficients, cap is n={cap}")
+    if f.n > INTERPOLATION_CAP:
+        raise ValueError(
+            f"interpolation needs 2^{f.n} coefficients, cap is n={INTERPOLATION_CAP}"
+        )
     coeffs = mobius_coefficients(f.table())
     nz = np.flatnonzero(coeffs)
     return MultilinearPolynomial(
@@ -216,33 +219,9 @@ def degree(p: MultilinearPolynomial) -> int:
     return p.degree()
 
 
-def degree_of(f: BooleanFunction, cap: int = DEFAULT_INTERPOLATION_CAP) -> int:
+def degree_of(f: BooleanFunction) -> int:
     """Degree of the representing polynomial, without materializing terms."""
-    if f.n > cap:
-        raise ValueError(f"exact degree computation capped at n={cap}")
     return _max_popcount_nonzero(mobius_coefficients(f.table()))
-
-
-def degree_mod_p(f_like, prime: int, cap: int = MOD_P_CAP) -> int:
-    """Degree of the representing polynomial over GF(prime).
-
-    Takes anything exposing ``n`` and ``table()``.  The result is a lower
-    bound on the true degree; they differ only when every top coefficient is
-    divisible by the prime.
-    """
-    if prime <= 2:
-        raise ValueError("prime must exceed 2")
-    n = f_like.n
-    if n > cap:
-        raise ValueError(f"mod-p degree computation capped at n={cap}")
-    a = np.asarray(f_like.table()).astype(np.int32)
-    for b in range(n):
-        step = 1 << b
-        a = a.reshape(-1, 2, step)
-        np.subtract(a[:, 1, :], a[:, 0, :], out=a[:, 1, :])
-        np.mod(a[:, 1, :], prime, out=a[:, 1, :])
-        a = a.reshape(-1)
-    return _max_popcount_nonzero(a)
 
 
 def verify_represents(p: MultilinearPolynomial, f: BooleanFunction) -> bool:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from exactquery import boolfn, cli, qsim
+from exactquery import boolfn, cli, lowdeg, qsim
 from exactquery.boolfn import BooleanFunction
 
 
@@ -273,10 +273,45 @@ def test_dcap_env_variable(capsys, monkeypatch):
 
 
 def test_exact_cap_env_variable(capsys, monkeypatch):
-    monkeypatch.setenv("EXACTQUERY_EXACT_CAP", "8")
+    monkeypatch.setenv("EXACTQUERY_EXACT_CAP", "8")  # not a knob: nothing reads it
     code, doc = run(capsys, "construct", "--family", "f9", "--emit", "report",
                     "--mode", "structural")
     assert code == 1  # structural report on a 9-variable member is unverified
     assert doc["computed_degree"] is None
-    code, _ = run(capsys, "construct", "--family", "f9", "--emit", "poly")
-    assert code == 2  # over the lowered interpolation ceiling
+    code, doc = run(capsys, "construct", "--family", "f9", "--emit", "poly")
+    assert code == 0 and doc["n"] == 9
+
+    def no_table(self):
+        raise AssertionError("table built before the interpolation cap check")
+
+    monkeypatch.setattr(lowdeg.ConstructedFunction, "table", no_table)
+    code, _ = run(capsys, "construct", "--family", "f3k:9", "--emit", "poly")
+    assert code == 2  # 27 variables, over polynomial.INTERPOLATION_CAP
+
+
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_dcap_env_variable_rejects_bad_values(capsys, monkeypatch, value):
+    monkeypatch.setenv("EXACTQUERY_DCAP", value)
+    code = cli.main(["analyze", "builtin:F3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "EXACTQUERY_DCAP" in captured.err
+
+
+def test_negative_dcap_flag_is_usage_error(capsys):
+    code = cli.main(["analyze", "builtin:F3", "--dcap", "-3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--dcap" in captured.err
+
+
+@pytest.mark.parametrize(
+    "extra", [["--mod-p", "2147483659"], ["--mod-p", "1000000"], ["--mode", "mod-p"]]
+)
+def test_mod_p_options_are_usage_errors(capsys, extra):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["construct", "--family", "f9", *extra])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from exactquery.boolfn import BooleanFunction, named_function
@@ -12,7 +13,6 @@ from exactquery.polynomial import (
     MultilinearPolynomial,
     RangePolynomial,
     collapser_transcription_report,
-    degree_mod_p,
     degree_of,
     f3_published_quadratic,
     find_collapser,
@@ -70,9 +70,11 @@ def test_degree_fixtures():
     assert interpolate(f3).degree() == 2
 
 
-def test_interpolation_cap():
+def test_interpolation_cap(monkeypatch):
+    monkeypatch.setattr(polynomial, "INTERPOLATION_CAP", 4)
     with pytest.raises(ValueError):
-        degree_of(BooleanFunction.constant(5, 0), cap=4)
+        interpolate(BooleanFunction.constant(5, 0))
+    assert degree_of(BooleanFunction.constant(5, 0)) == 0  # no cap below MAX_N
 
 
 def test_coefficients_match_subset_sums():
@@ -111,31 +113,33 @@ def test_zeta_inverts_mobius():
 
 
 # ---------------------------------------------------------------------------
-# Modular degree
+# The int32 subset-transform kernel
 # ---------------------------------------------------------------------------
 
-def test_degree_mod_p_fixture():
-    assert degree_mod_p(named_function("F3"), 1_000_003) == 2
+def test_mobius_coefficients_are_int32():
+    coeffs = polynomial.mobius_coefficients(named_function("F3").table())
+    assert coeffs.dtype == np.int32
+    assert degree_of(named_function("F3")) == 2
 
 
-def test_degree_mod_p_matches_exact_on_random():
+def test_parity_20_full_mask_coefficient():
+    n = 20
+    idx = np.arange(1 << n)
+    parity = np.zeros(1 << n, dtype=np.uint8)
+    for b in range(n):
+        parity ^= ((idx >> b) & 1).astype(np.uint8)
+    coeffs = polynomial.mobius_coefficients(parity)
+    assert int(coeffs[(1 << n) - 1]) == (-2) ** (n - 1)  # the 2^(n-1) bound is tight
+    assert degree_of(BooleanFunction(n, parity)) == n
+
+
+def test_random_functions_round_trip():
     rng = random.Random(59)
     for _ in range(20):
-        f = random_function(rng, rng.randint(3, 10))
-        assert degree_mod_p(f, 1_000_003) == degree_of(f)
-
-
-def test_degree_mod_p_is_lower_bound_small_prime():
-    rng = random.Random(61)
-    for _ in range(20):
-        f = random_function(rng, rng.randint(3, 8))
-        assert degree_mod_p(f, 5) <= degree_of(f)
-
-
-def test_degree_mod_p_rejects_tiny_prime():
-    xor3 = BooleanFunction(3, [bin(i).count("1") & 1 for i in range(8)])
-    with pytest.raises(ValueError):
-        degree_mod_p(xor3, 2)
+        f = random_function(rng, rng.randint(1, 10))
+        assert verify_represents(interpolate(f), f)
+        coeffs = polynomial.mobius_coefficients(f.table())
+        assert (polynomial.evaluate_coefficients(coeffs) == f.table()).all()
 
 
 # ---------------------------------------------------------------------------
