@@ -22,17 +22,6 @@ from .boolfn import BooleanFunction, InputAssignment, coerce_input, complement_s
 FLOAT_TOLERANCE = 1e-9
 
 
-def _reduced(num: int, den: int) -> tuple[int, int]:
-    if den == 0:
-        raise ZeroDivisionError("zero denominator")
-    if num == 0:
-        return 0, 1
-    if den < 0:
-        num, den = -num, -den
-    g = gcd(num, den)
-    return num // g, den // g
-
-
 class ExactScalar:
     """a + b*sqrt(2) with rational components; closed under ring operations.
 
@@ -43,8 +32,27 @@ class ExactScalar:
     __slots__ = ("an", "ad", "bn", "bd")
 
     def __init__(self, an: int = 0, ad: int = 1, bn: int = 0, bd: int = 1) -> None:
-        self.an, self.ad = _reduced(an, ad)
-        self.bn, self.bd = _reduced(bn, bd)
+        # Reduce both pairs to lowest terms with a positive denominator;
+        # written out inline because this runs once per ring operation.
+        if ad == 0 or bd == 0:
+            raise ZeroDivisionError("zero denominator")
+        if an == 0:
+            ad = 1
+        else:
+            if ad < 0:
+                an, ad = -an, -ad
+            g = gcd(an, ad)
+            if g != 1:
+                an, ad = an // g, ad // g
+        if bn == 0:
+            bd = 1
+        else:
+            if bd < 0:
+                bn, bd = -bn, -bd
+            g = gcd(bn, bd)
+            if g != 1:
+                bn, bd = bn // g, bd // g
+        self.an, self.ad, self.bn, self.bd = an, ad, bn, bd
 
     @classmethod
     def of(cls, a, b=0) -> "ExactScalar":
@@ -83,6 +91,14 @@ class ExactScalar:
 
     def __mul__(self, other: "ExactScalar") -> "ExactScalar":
         # (a1 + b1 r)(a2 + b2 r) = a1 a2 + 2 b1 b2 + (a1 b2 + b1 a2) r
+        if self.bn == 0:
+            return ExactScalar(
+                self.an * other.an, self.ad * other.ad, self.an * other.bn, self.ad * other.bd
+            )
+        if other.bn == 0:
+            return ExactScalar(
+                self.an * other.an, self.ad * other.ad, self.bn * other.an, self.bd * other.ad
+            )
         return ExactScalar(
             self.an * other.an * self.bd * other.bd
             + 2 * self.bn * other.bn * self.ad * other.ad,
@@ -157,13 +173,19 @@ def parse_scalar(text: str) -> ExactScalar:
 class UnitaryMatrix:
     """Square matrix of exact scalars; unitarity is checked, not assumed."""
 
-    __slots__ = ("dim", "rows")
+    __slots__ = ("dim", "rows", "_nonzero")
 
     def __init__(self, rows: Sequence[Sequence[ExactScalar]]) -> None:
         self.dim = len(rows)
         if any(len(r) != self.dim for r in rows):
             raise ValueError("matrix must be square")
         self.rows = tuple(tuple(r) for r in rows)
+        # (column, entry) for the nonzero entries of each row: apply() skips
+        # the zero entries without testing them on every call.
+        self._nonzero = tuple(
+            tuple((j, entry) for j, entry in enumerate(row) if not entry.is_zero())
+            for row in self.rows
+        )
 
     @classmethod
     def from_values(cls, rows) -> "UnitaryMatrix":
@@ -178,12 +200,14 @@ class UnitaryMatrix:
 
     def apply(self, state: tuple[ExactScalar, ...]) -> tuple[ExactScalar, ...]:
         out = []
-        for row in self.rows:
-            acc = ZERO
-            for entry, amp in zip(row, state):
-                if not (entry.is_zero() or amp.is_zero()):
-                    acc = acc + entry * amp
-            out.append(acc)
+        for row in self._nonzero:
+            acc = None
+            for j, entry in row:
+                amp = state[j]
+                if amp.an or amp.bn:
+                    term = entry * amp
+                    acc = term if acc is None else acc + term
+            out.append(ZERO if acc is None else acc)
         return tuple(out)
 
     def __eq__(self, other) -> bool:

@@ -27,6 +27,7 @@ from exactquery.lowdeg import (
     p4_eval,
     witness_sensitivity,
 )
+from exactquery.polynomial import degree_of
 
 
 def random_partition(rng, max_size=6):
@@ -268,6 +269,11 @@ def test_f12_certification():
     assert report.computed_degree == 6
     assert report.witness_sensitivity == 12
     assert report.status == "confirmed"
+
+
+def test_f12_degree_of_table():
+    # The degree straight from the polynomial module, independent of certify.
+    assert degree_of(build_f12().to_boolean_function()) == 6
 
 
 # ---------------------------------------------------------------------------
