@@ -178,10 +178,12 @@ class BooleanFunction:
     @classmethod
     def from_json_dict(cls, data: dict) -> "BooleanFunction":
         try:
-            n = int(data["n"])
+            n = data["n"]
             packed = bytes.fromhex(data["table_hex"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed truth-table JSON: {exc}") from exc
+        if type(n) is not int:  # a JSON integer: not "3", 3.0 or true
+            raise ValueError(f"malformed truth-table JSON: n must be an integer, got {n!r}")
         return cls.from_packed(n, packed)
 
 
@@ -232,8 +234,7 @@ TABLE2_COLUMNS: tuple[tuple[int, ...], ...] = (
 
 def named_function(name: str) -> BooleanFunction:
     """Builtin functions: F3, G4, table1:i and table2:i with i in 1..8."""
-    key = name.strip()
-    low = key.lower()
+    low = name.strip().lower()
     if low == "f3":
         return BooleanFunction.from_callable(3, _f3_formula)
     if low == "g4":
@@ -243,11 +244,12 @@ def named_function(name: str) -> BooleanFunction:
             try:
                 i = int(low[len(prefix):])
             except ValueError:
-                raise ValueError(f"unknown function name {name!r}") from None
-            if not 1 <= i <= 8:
-                raise ValueError(f"{prefix}i requires i in 1..8, got {i}")
-            return BooleanFunction(3 if prefix == "table1:" else 4, columns[i - 1])
-    raise ValueError(f"unknown function name {name!r}")
+                break
+            if 1 <= i <= 8:
+                return BooleanFunction(3 if prefix == "table1:" else 4, columns[i - 1])
+    raise ValueError(
+        f"unknown builtin function {name!r}; builtins are F3, G4, table1:1..8, table2:1..8"
+    )
 
 
 # ---------------------------------------------------------------------------

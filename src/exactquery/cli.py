@@ -48,15 +48,19 @@ def _dcap(flag: Optional[int]) -> int:
 
 
 def _load_function(spec: str) -> BooleanFunction:
-    name = spec[len("builtin:"):] if spec.startswith("builtin:") else spec
+    """builtin:NAME is a builtin only; a bare spec is a builtin, else a file."""
+    if spec.startswith("builtin:"):
+        return boolfn.named_function(spec[len("builtin:"):])
     try:
-        return boolfn.named_function(name)
-    except ValueError:
-        pass
+        return boolfn.named_function(spec)
+    except ValueError as exc:
+        builtin_error = exc
     try:
         with open(spec, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         return BooleanFunction.from_json_dict(data)
+    except FileNotFoundError:
+        raise ValueError(f"cannot load function {spec!r}: no such file, and {builtin_error}") from None
     except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
         raise ValueError(f"cannot load function {spec!r}: {exc}") from exc
 
@@ -123,8 +127,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         report = suites.run_suite(args.suite, count=args.count, seed=args.seed)
-    except (ValueError, KeyError) as exc:
+    except suites.UnknownSuite as exc:
         _info(f"unknown suite: {exc}")
+        return EXIT_USAGE
+    except ValueError as exc:
+        _info(f"suite {args.suite}: {exc}")
         return EXIT_USAGE
     _emit(report)
     passed = report["passed"]

@@ -7,15 +7,17 @@ univariate collapser then squeezes the integer range onto {0,1}.  Iterating
 block sums of an already-Boolean polynomial gives the same degree doubling
 with tripled arity.
 
-Functions built here are evaluator-backed; truth tables are materialized
-only up to ``boolfn.MAX_N`` variables.
+Families are described as composition data (``Compose``: a symmetric outer
+function of one inner function on disjoint variable blocks), so one
+evaluator serves every member at any arity, and one builder materializes
+truth tables by broadcasting, up to ``boolfn.MAX_N`` variables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -25,7 +27,9 @@ from .polynomial import find_collapser, published_k7_collapser, collapser_transc
 
 # the degree-2 collapser for {0..3}: values 1,0,0,1
 _S_VALUES = (1, 0, 0, 1)
-_CHUNK = 1 << 22
+# NAE3 (not-all-equal): the fixed-pairing quadratic w - C(w,2) on one
+# position triangle of weight w
+_NAE3 = (0, 1, 1, 1, 1, 1, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -130,12 +134,74 @@ def fixed_pairing_value(x, part: GroupPartition) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Evaluator-backed constructed functions
+# Families as composition data
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class Compose:
+    """A symmetric outer function of one inner function on disjoint blocks.
+
+    The value at x is ``outer[inner(x_B1) + ... + inner(x_Bm)]``: ``outer``
+    lists the outer function's values by the number of blocks on which the
+    inner function is 1.  ``inner`` is a truth table (a tuple of 2^b values,
+    index bits most significant first) or another composition.  ``blocks``
+    gives each block's variables (0-based) in the inner function's variable
+    order; together they cover each variable once.
+    """
+
+    outer: tuple[int, ...]
+    inner: Union[tuple[int, ...], "Compose"]
+    blocks: tuple[tuple[int, ...], ...]
+
+    @property
+    def n(self) -> int:
+        return sum(len(block) for block in self.blocks)
+
+
+def _value_at(f: Union[tuple[int, ...], Compose], i: int) -> int:
+    """Value of a truth table or a composition at input index i, any arity."""
+    if isinstance(f, tuple):
+        return f[i]
+    n = f.n
+    total = 0
+    for block in f.blocks:
+        j = 0
+        for var in block:
+            j = (j << 1) | ((i >> (n - 1 - var)) & 1)
+        total += _value_at(f.inner, j)
+    return f.outer[total]
+
+
+def _table(f: Union[tuple[int, ...], Compose]) -> np.ndarray:
+    """uint8 truth table of a truth table or a composition, by broadcasting.
+
+    Outer-adding the inner table once per block gives the block-value sums
+    on a cube whose axes are the blocks' variables in block order.  The
+    outer values are looked up there, before the ``(2,)*n`` cube is
+    transposed to variable order, so at most two 2^n-entry uint8 arrays are
+    alive at once; for contiguous blocks in order the transpose is the
+    identity and copies nothing.
+    """
+    if isinstance(f, tuple):
+        return np.array(f, dtype=np.uint8)
+    inner = _table(f.inner)
+    sums = inner
+    for _ in f.blocks[1:]:
+        sums = np.add.outer(sums, inner)
+    values = np.array(f.outer, dtype=np.uint8)[sums]
+    del sums
+    axis_vars = [var for block in f.blocks for var in block]
+    cube = values.reshape((2,) * f.n).transpose(np.argsort(axis_vars))
+    return np.ascontiguousarray(cube).reshape(-1)
+
+
+@dataclass(frozen=True)
 class ConstructedFunction:
-    """A function defined by a pointwise evaluator plus claimed parameters."""
+    """A family member: its definition as data plus claimed parameters.
+
+    ``structure`` is a truth table (a tuple of 2^n values) or a ``Compose``;
+    evaluation works at any arity, truth tables up to ``boolfn.MAX_N``.
+    """
 
     n: int
     family: str
@@ -143,9 +209,11 @@ class ConstructedFunction:
     claimed_degree: int
     claimed_d: int
     witness_input: tuple[int, ...]
-    value_at: Callable[[int], int] = field(repr=False)
-    table_builder: Optional[Callable[[], np.ndarray]] = field(default=None, repr=False)
+    structure: Union[tuple[int, ...], Compose] = field(repr=False)
     notes: tuple[str, ...] = ()
+
+    def value_at(self, i: int) -> int:
+        return _value_at(self.structure, i)
 
     def evaluate(self, x) -> int:
         return self.value_at(coerce_input(x, self.n).index)
@@ -153,49 +221,29 @@ class ConstructedFunction:
     def table(self) -> np.ndarray:
         if not self.has_table:
             raise ValueError(f"no truth table available for n={self.n}")
-        return self.table_builder()
+        return _table(self.structure)
 
     @property
     def has_table(self) -> bool:
-        return self.table_builder is not None and self.n <= MAX_N
+        return self.n <= MAX_N
 
     def to_boolean_function(self) -> BooleanFunction:
         return BooleanFunction(self.n, self.table())
-
-
-def _pair_quadratic_table_builder(
-    n: int, pairs: tuple[tuple[int, int], ...], values: tuple[int, ...]
-) -> Callable[[], np.ndarray]:
-    def build() -> np.ndarray:
-        varr = np.array(values, dtype=np.uint8)
-        pc16 = polynomial._popcount16()
-        out = np.empty(1 << n, dtype=np.uint8)
-        shifts = [(n - 1 - u, n - 1 - v) for u, v in pairs]
-        for start in range(0, 1 << n, _CHUNK):
-            idx = np.arange(start, min(start + _CHUNK, 1 << n), dtype=np.int64)
-            val = (pc16[idx & 0xFFFF] + pc16[idx >> 16]).astype(np.int64)
-            for bu, bv in shifts:
-                val -= (idx >> bu) & (idx >> bv) & 1
-            out[start : start + idx.size] = varr[val]
-        return out
-
-    return build
 
 
 def build_f3k(k: int) -> ConstructedFunction:
     """3k-variable family member: collapser of the fixed-pairing quadratic.
 
     Three equal groups of k; the base connection graph is the k disjoint
-    position triangles, so the quadratic ranges over {0..k} and the searched
-    collapser (value 1 exactly at 0 and k) produces a Boolean function that
-    is fully sensitive at the all-zero input.
+    position triangles {i, k+i, 2k+i}, on each of which the quadratic is
+    NAE3.  So f3k(k) = V_k(NAE3, ..., NAE3), where the searched collapser
+    V_k of the range {0..k} is 1 exactly at 0 and k; the function is fully
+    sensitive at the all-zero input.
     """
     if k % 2 == 0 or not 3 <= k <= 15:
         raise ValueError(f"k must be odd and in 3..15, got {k}")
     n = 3 * k
-    part = GroupPartition.equal(k)
     values, _ = find_collapser(k)
-    pairs = base_connection_graph(part)
     notes = []
     collapser_source = "search"
     if k == 7:
@@ -208,15 +256,7 @@ def build_f3k(k: int) -> ConstructedFunction:
                 f"{{0,1}}: {report['maps_to_01']}, but p(0) == p(1); "
                 "using the searched collapser to keep the zero input fully sensitive"
             )
-    varr = values
-    bitshift = [(n - 1 - u, n - 1 - v) for u, v in pairs]
-
-    def value_at(i: int) -> int:
-        total = i.bit_count()
-        for bu, bv in bitshift:
-            total -= (i >> bu) & (i >> bv) & 1
-        return varr[total]
-
+    triangles = tuple((i, k + i, 2 * k + i) for i in range(k))
     return ConstructedFunction(
         n=n,
         family="f3k",
@@ -224,8 +264,7 @@ def build_f3k(k: int) -> ConstructedFunction:
         claimed_degree=2 * (k - 1),
         claimed_d=n,
         witness_input=(0,) * n,
-        value_at=value_at,
-        table_builder=_pair_quadratic_table_builder(n, pairs, values),
+        structure=Compose(values, _NAE3, triangles),
         notes=tuple(notes),
     )
 
@@ -250,10 +289,6 @@ _P4_TABLE = tuple(
 
 def p4_base() -> ConstructedFunction:
     """The 4-variable cubic as a construction base (Boolean-valued, degree 3)."""
-
-    def value_at(i: int) -> int:
-        return _P4_TABLE[i]
-
     return ConstructedFunction(
         n=4,
         family="p4",
@@ -261,23 +296,8 @@ def p4_base() -> ConstructedFunction:
         claimed_degree=3,
         claimed_d=4,
         witness_input=(1, 1, 1, 1),
-        value_at=value_at,
-        table_builder=lambda: np.array(_P4_TABLE, dtype=np.uint8),
+        structure=_P4_TABLE,
     )
-
-
-def _triple_table_builder(prev: ConstructedFunction) -> Optional[Callable[[], np.ndarray]]:
-    if prev.table_builder is None or 3 * prev.n > MAX_N:
-        return None
-
-    def build() -> np.ndarray:
-        t = prev.table().astype(np.uint8)
-        svals = np.array(_S_VALUES, dtype=np.uint8)
-        sums = t[:, None] + t[None, :]
-        full = (sums[:, :, None] + t[None, None, :]).reshape(-1)
-        return svals[full]
-
-    return build
 
 
 def iterate_triple(base: ConstructedFunction, t: int) -> ConstructedFunction:
@@ -293,25 +313,17 @@ def iterate_triple(base: ConstructedFunction, t: int) -> ConstructedFunction:
         raise ValueError("need at least one iteration")
     current = base
     for _ in range(t):
-        prev = current
-        prev_value = prev.value_at
-        prev_n = prev.n
-        mask = (1 << prev_n) - 1
-
-        def value_at(i: int, _f=prev_value, _s=prev_n, _m=mask) -> int:
-            return _S_VALUES[
-                _f((i >> (2 * _s)) & _m) + _f((i >> _s) & _m) + _f(i & _m)
-            ]
-
+        m = current.n
         current = ConstructedFunction(
-            n=3 * prev.n,
+            n=3 * m,
             family="triple",
             params={"base": base.family, "base_params": dict(base.params), "t": t},
-            claimed_degree=2 * prev.claimed_degree,
-            claimed_d=3 * prev.claimed_d,
-            witness_input=prev.witness_input * 3,
-            value_at=value_at,
-            table_builder=_triple_table_builder(prev),
+            claimed_degree=2 * current.claimed_degree,
+            claimed_d=3 * current.claimed_d,
+            witness_input=current.witness_input * 3,
+            structure=Compose(
+                _S_VALUES, current.structure, tuple(tuple(range(b * m, b * m + m)) for b in range(3))
+            ),
             notes=base.notes,
         )
     return current
@@ -319,17 +331,7 @@ def iterate_triple(base: ConstructedFunction, t: int) -> ConstructedFunction:
 
 def build_f12() -> ConstructedFunction:
     """Twelve variables: collapse the sum of the 4-variable cubic on 3 blocks."""
-    cf = iterate_triple(p4_base(), 1)
-    return ConstructedFunction(
-        n=cf.n,
-        family="f12",
-        params={},
-        claimed_degree=6,
-        claimed_d=12,
-        witness_input=cf.witness_input,
-        value_at=cf.value_at,
-        table_builder=cf.table_builder,
-    )
+    return replace(iterate_triple(p4_base(), 1), family="f12", params={})
 
 
 def build_f9() -> ConstructedFunction:
@@ -341,23 +343,13 @@ def build_lemma3(k: int, t: int) -> ConstructedFunction:
     if t < 1:
         raise ValueError("need t >= 1")
     cf = iterate_triple(build_f3k(k), t)
-    notes = list(cf.notes)
+    notes = cf.notes
     if t == 1:
-        notes.append(
+        notes += (
             "statement/proof range discrepancy: the iteration count t=1 is "
-            "covered by the proof but excluded by the statement's t > 1"
+            "covered by the proof but excluded by the statement's t > 1",
         )
-    return ConstructedFunction(
-        n=cf.n,
-        family="lemma3",
-        params={"k": k, "t": t},
-        claimed_degree=cf.claimed_degree,
-        claimed_d=cf.claimed_d,
-        witness_input=cf.witness_input,
-        value_at=cf.value_at,
-        table_builder=cf.table_builder,
-        notes=tuple(notes),
-    )
+    return replace(cf, family="lemma3", params={"k": k, "t": t}, notes=notes)
 
 
 def lemma3_params(k: int, t: int) -> tuple[int, int, Fraction]:

@@ -299,6 +299,7 @@ def suite_lemma3(k: int, t: int) -> dict:
 def suite_inequalities(count: int = 500, seed: int = DEFAULT_SEED) -> dict:
     rng = random.Random(seed)
     violations = []
+    tested = 0
     for index in range(count):
         n = rng.randint(3, 10)
         table = [rng.randint(0, 1) for _ in range(1 << n)]
@@ -307,6 +308,7 @@ def suite_inequalities(count: int = 500, seed: int = DEFAULT_SEED) -> dict:
         deg = polynomial.degree_of(f)
         d = boolfn.deterministic_complexity(f, cap=10)
         qe = polynomial.qe_lower_bound(f)
+        tested += 1
         ok = s <= d and deg <= d and qe == (deg + 1) // 2 and d <= n
         if s == n and d != n:
             ok = False
@@ -315,7 +317,7 @@ def suite_inequalities(count: int = 500, seed: int = DEFAULT_SEED) -> dict:
                 {"index": index, "n": n, "s": s, "deg": deg, "d": d, "qe_lower": qe}
             )
     checks = [
-        _check("functions_tested", count, count),
+        _check("functions_tested", count, tested),
         _check("violations", [], violations),
     ]
     return _finish("inequalities", checks)
@@ -325,28 +327,46 @@ def suite_inequalities(count: int = 500, seed: int = DEFAULT_SEED) -> dict:
 # Registry
 # ---------------------------------------------------------------------------
 
+class UnknownSuite(ValueError):
+    """A suite name that names no suite."""
+
+
+_PLAIN: dict[str, Callable[[], dict]] = {
+    "a1": suite_a1,
+    "a2": suite_a2,
+    "table1": suite_table1,
+    "table2": suite_table2,
+    "relabel3": suite_relabel3,
+    "relabel4": suite_relabel4,
+    "compose": suite_compose,
+    "example1": suite_example1,
+}
+_PARAMETRIC = {"lemma2": ("lemma2:K", suite_lemma2), "lemma3": ("lemma3:K,T", suite_lemma3)}
+
+
 def run_suite(spec: str, count: Optional[int] = None, seed: int = DEFAULT_SEED) -> dict:
-    """Dispatch by suite name; parametric suites use name:args syntax."""
+    """Dispatch by suite name; parametric suites use name:args syntax.
+
+    Raises ``UnknownSuite`` for a name it does not know, and ``ValueError``
+    when a known suite rejects its parameters or ``count`` is not positive.
+    """
+    if count is not None and count < 1:
+        raise ValueError(f"count must be a positive integer, got {count}")
     name, _, arg = spec.partition(":")
-    if name == "lemma2":
-        return suite_lemma2(int(arg))
-    if name == "lemma3":
-        k_str, _, t_str = arg.partition(",")
-        return suite_lemma3(int(k_str), int(t_str))
+    if name in _PARAMETRIC:
+        usage, suite = _PARAMETRIC[name]
+        try:
+            params = [int(p) for p in arg.split(",")]
+        except ValueError:
+            params = []
+        if len(params) != usage.count(",") + 1:
+            raise ValueError(f"expected {usage} with integer parameters")
+        return suite(*params)
     if name == "lemma1":
-        return suite_lemma1(count=count or 1000, seed=seed)
+        return suite_lemma1(count=count if count is not None else 1000, seed=seed)
     if name == "inequalities":
-        return suite_inequalities(count=count or 500, seed=seed)
-    plain: dict[str, Callable[[], dict]] = {
-        "a1": suite_a1,
-        "a2": suite_a2,
-        "table1": suite_table1,
-        "table2": suite_table2,
-        "relabel3": suite_relabel3,
-        "relabel4": suite_relabel4,
-        "compose": suite_compose,
-        "example1": suite_example1,
-    }
-    if name in plain and not arg:
-        return plain[name]()
-    raise ValueError(f"unknown suite {spec!r}")
+        return suite_inequalities(count=count if count is not None else 500, seed=seed)
+    if name in _PLAIN and not arg:
+        return _PLAIN[name]()
+    names = [*_PLAIN, "lemma1", "inequalities"] + [usage for usage, _ in _PARAMETRIC.values()]
+    raise UnknownSuite(f"{spec!r}; suites are {', '.join(names)}")

@@ -79,6 +79,25 @@ def test_analyze_unknown_builtin(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("n", ["3", True, 3.0])
+def test_analyze_rejects_non_integer_n(tmp_path, capsys, n):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"n": n, "table_hex": "00"}))
+    assert cli.main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n must be an integer" in captured.err
+
+
+@pytest.mark.parametrize("spec", ["builtin:nope", "table1:9", "builtin:table2:0"])
+def test_analyze_unknown_builtin_names_valid_builtins(capsys, spec):
+    assert cli.main(["analyze", spec]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown builtin function {spec.removeprefix('builtin:')!r}" in err
+    assert "F3, G4, table1:1..8, table2:1..8" in err
+    assert "Errno" not in err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -174,6 +193,31 @@ def test_verify_reduced_counts(capsys):
 def test_verify_unknown_suite(capsys):
     code, _ = run(capsys, "verify", "--suite", "nonsense")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "suite, message",
+    [
+        ("lemma3:3,0", "t must be at least 1"),
+        ("lemma2:11", "no truth table available for n=33"),
+        ("lemma2:x", "expected lemma2:K with integer parameters"),
+    ],
+)
+def test_verify_suite_parameter_errors_keep_their_message(capsys, suite, message):
+    assert cli.main(["verify", "--suite", suite]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert "unknown suite" not in captured.err
+
+
+@pytest.mark.parametrize("suite", ["inequalities", "lemma1"])
+@pytest.mark.parametrize("count", ["-5", "0"])
+def test_verify_rejects_nonpositive_count(capsys, suite, count):
+    assert cli.main(["verify", "--suite", suite, "--count", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"count must be a positive integer, got {count}" in captured.err
 
 
 def test_verify_output_is_deterministic(capsys):

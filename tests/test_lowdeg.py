@@ -1,7 +1,9 @@
 """Group partitions, pairings and the low-degree construction families."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -9,7 +11,6 @@ import pytest
 
 from exactquery.boolfn import BooleanFunction, InputAssignment, hamming_weight
 from exactquery.lowdeg import (
-    ConstructedFunction,
     GroupPartition,
     base_connection_graph,
     build_f3k,
@@ -166,13 +167,45 @@ def reference_f3k_value(x, k, values):
     return values[total]
 
 
+def collapser(k):
+    """V_k: 1 exactly at 0 and k."""
+    return (1,) + (0,) * (k - 1) + (1,)
+
+
 def test_f3k_table_matches_reference():
-    cf = build_f3k(3)
-    table = cf.table()
-    for i in range(512):
-        x = InputAssignment.from_index(9, i)
-        assert table[i] == reference_f3k_value(x, 3, (1, 0, 0, 1))
-        assert cf.value_at(i) == table[i]
+    for k in (3, 5):
+        cf = build_f3k(k)
+        assert tuple(cf.params["collapser_values"]) == collapser(k)
+        table = cf.table()
+        for i in range(1 << cf.n):
+            x = InputAssignment.from_index(cf.n, i)
+            assert table[i] == reference_f3k_value(x, k, collapser(k))
+            assert cf.value_at(i) == table[i]
+
+
+def test_f3k_blocks_are_base_graph_triangles():
+    for k in (3, 5, 7, 15):
+        blocks = build_f3k(k).structure.blocks
+        pairs = {pair for block in blocks for pair in combinations(sorted(block), 2)}
+        assert pairs == set(base_connection_graph(GroupPartition.equal(k)))
+        assert sorted(var for block in blocks for var in block) == list(range(3 * k))
+
+
+def test_large_tables_match_reference_on_samples():
+    rng = np.random.default_rng(113)
+    table = build_f3k(7).table()
+    for i in rng.integers(0, 1 << 21, 4096):
+        x = InputAssignment.from_index(21, int(i))
+        assert table[i] == reference_f3k_value(x, 7, collapser(7))
+    # lemma3(3, 1) = S(f9, f9, f9) on three contiguous blocks, S = 1,0,0,1
+    table = build_lemma3(3, 1).table()
+    for i in rng.integers(0, 1 << 27, 4096):
+        bits = InputAssignment.from_index(27, int(i)).bits
+        total = sum(
+            reference_f3k_value(InputAssignment(9, bits[9 * b : 9 * b + 9]), 3, collapser(3))
+            for b in range(3)
+        )
+        assert table[i] == collapser(3)[total]
 
 
 def test_f3k_claims():
@@ -271,6 +304,16 @@ def test_f12_certification():
     assert report.status == "confirmed"
 
 
+def test_f12_table_matches_hand_composition():
+    cf = build_f12()
+    table = cf.table()
+    for i in range(1 << 12):
+        bits = InputAssignment.from_index(12, i).bits
+        total = sum(p4_eval(bits[4 * b : 4 * b + 4]) for b in range(3))
+        assert table[i] == (1, 0, 0, 1)[total]
+        assert cf.value_at(i) == table[i]
+
+
 def test_f12_degree_of_table():
     # The degree straight from the polynomial module, independent of certify.
     assert degree_of(build_f12().to_boolean_function()) == 6
@@ -365,16 +408,7 @@ def test_certify_mode_errors():
 def test_certify_refutes_wrong_claims():
     base = build_f9()
     for claimed_degree in (base.claimed_degree + 1, 6):
-        doctored = ConstructedFunction(
-            n=base.n,
-            family="doctored",
-            params={},
-            claimed_degree=claimed_degree,
-            claimed_d=base.claimed_d,
-            witness_input=base.witness_input,
-            value_at=base.value_at,
-            table_builder=base.table_builder,
-        )
+        doctored = replace(base, family="doctored", params={}, claimed_degree=claimed_degree)
         report = certify(doctored, mode="exact")
         assert report.status == "refuted"
         assert report.computed_degree == 4
