@@ -59,6 +59,7 @@ from .qsim import (
     a2,
     check_unitary,
     classify_final,
+    final_states,
     is_exact,
     relabel_outputs,
     simulate,

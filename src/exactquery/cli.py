@@ -65,7 +65,7 @@ def _load_function(spec: str) -> BooleanFunction:
         raise ValueError(f"cannot load function {spec!r}: {exc}") from exc
 
 
-def _load_algorithm(spec: str) -> qsim.QueryAlgorithm:
+def _load_algorithm(spec: str, tolerance: float) -> qsim.QueryAlgorithm:
     if spec in ("builtin:a1", "a1"):
         return qsim.a1()
     if spec in ("builtin:a2", "a2"):
@@ -73,7 +73,7 @@ def _load_algorithm(spec: str) -> qsim.QueryAlgorithm:
     try:
         with open(spec, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        return qsim.algorithm_from_json_dict(data)
+        return qsim.algorithm_from_json_dict(data, tolerance)
     except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
         raise ValueError(f"cannot load algorithm {spec!r}: {exc}") from exc
 
@@ -91,32 +91,24 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    tolerance = qsim.FLOAT_TOLERANCE if args.float else 0
     try:
-        alg = _load_algorithm(args.alg)
+        alg = _load_algorithm(args.alg, tolerance)
         x = boolfn.coerce_input(args.input, alg.n)
     except ValueError as exc:
         _info(str(exc))
         return EXIT_USAGE
-    if args.float:
-        sim = qsim.simulate_float(alg, x)
-        out = {
-            "mode": "float",
-            "amplitudes": [float(a) for a in sim.amplitudes],
-            "probabilities": {str(k): v for k, v in sim.outcome_prob.items()},
-            "outcome": sim.outcome_within(),
-        }
-        _emit(out)
-        return EXIT_OK
     final = qsim.simulate(alg, x, trace=args.trace)
+    show = float if args.float else str
     out = {
-        "mode": "exact",
-        "amplitudes": [str(a) for a in final.amplitudes],
-        "probabilities": {str(k): str(v) for k, v in final.outcome_prob.items()},
-        "outcome": final.deterministic_outcome(),
+        "mode": "float" if args.float else "exact",
+        "amplitudes": [show(a) for a in final.amplitudes],
+        "probabilities": {str(k): show(v) for k, v in final.outcome_prob.items()},
+        "outcome": final.deterministic_outcome(tolerance),
     }
     if args.trace:
         out["trace"] = [
-            {"layer": i, "amplitudes": [str(a) for a in state]}
+            {"layer": i, "amplitudes": [show(a) for a in state]}
             for i, state in enumerate(final.trace)
         ]
     _emit(out)
@@ -240,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True)
     p.add_argument("--count", type=int, default=None, help="sample count for random suites")
-    p.add_argument("--seed", type=int, default=suites.DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=None, help="seed for random suites")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("construct", help="emit a constructed family member")

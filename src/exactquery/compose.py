@@ -72,9 +72,8 @@ def build_decision_tree(h: BooleanFunction) -> DecisionTree:
 
     Walks the bottom-up depth tables: at each partial assignment the first
     variable achieving the minimax optimum is queried, smallest index first.
+    Refused above ``boolfn.MAX_DCAP`` variables, as the tables are.
     """
-    if h.n > boolfn.DEFAULT_DCAP:
-        raise ValueError(f"decision tree construction capped at n={boolfn.DEFAULT_DCAP}")
     depth, flags = boolfn._partial_assignment_tables(h)
     n = h.n
     pow3 = [3**j for j in range(n)]
@@ -182,11 +181,15 @@ def verify_gap(
     """Exhaustively compare the hybrid with direct composition.
 
     Checks every composite input, tracks the worst query count, and measures
-    the composite's exact decision-tree depth independently.
+    the composite's exact decision-tree depth independently, up to
+    ``boolfn.MAX_DCAP`` variables.  f1 must not be constant (the composite's
+    depth would be 0).
     """
+    if not 0 < len(f1.ones()) < 1 << f1.n:
+        raise ValueError("inner function must not be constant")
     total = h.n * f1.n
-    if total > boolfn.DEFAULT_DCAP:
-        raise ValueError(f"exhaustive gap check capped at {boolfn.DEFAULT_DCAP} variables")
+    if total > boolfn.MAX_DCAP:
+        raise ValueError(f"exhaustive gap check capped at {boolfn.MAX_DCAP} variables")
     hy = HybridAlgorithm.build(h, f1, inner)
     composite = boolfn.compose_function(h, f1)
     correct = True
@@ -197,8 +200,7 @@ def verify_gap(
         max_queries = max(max_queries, queries)
         if value != composite.value_at(i):
             correct = False
-    d_exact = boolfn.deterministic_complexity(composite)
-    assert d_exact is not None
+    d_exact = boolfn.deterministic_complexity(composite, cap=total)
     return GapReport(
         n_inputs=1 << total,
         correct=correct,

@@ -5,6 +5,12 @@ with rational a, b, which covers all matrix entries the builtin algorithms
 need (0, +-1, +-1/2, +-1/sqrt2) and makes "probability exactly 1" a decidable
 comparison.  A sign query multiplies amplitude i by -1 exactly when the
 variable assigned to that amplitude is 1.
+
+``simulate`` is the only code that applies layers; ``is_exact`` and
+``classify_final`` read ``final_states``, its result on every input.  Float
+mode is the same exact simulation of an algorithm whose decimal entries
+were read as the rationals they denote and checked for unitarity to
+``FLOAT_TOLERANCE``; only its printing rounds.
 """
 
 from __future__ import annotations
@@ -14,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, sqrt
 from typing import Optional, Sequence, Union
-
-import numpy as np
 
 from .boolfn import BooleanFunction, InputAssignment, coerce_input, complement_symmetric
 
@@ -150,14 +154,21 @@ ONE = ExactScalar.of(1)
 HALF = ExactScalar.of(Fraction(1, 2))
 INV_SQRT2 = ExactScalar.of(0, Fraction(1, 2))  # 1/sqrt2 == (1/2) sqrt2
 
+# The rational part may be a decimal literal; the lookahead stops it from
+# ending inside a number, so "12 r2" cannot split into 1 + 2 r2.  Exponents
+# have at most three digits: Fraction builds 10**exp as an exact integer.
 _SCALAR_RE = re.compile(
-    r"^\s*(?P<rat>[+-]?\d+(?:/\d+)?)?"
+    r"^\s*(?P<rat>[+-]?(?:\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d{1,3})?)(?![\d./]))?"
     r"\s*(?:(?P<sign>[+-])?\s*(?P<root>[+-]?\d+(?:/\d+)?)\s*r2)?\s*$"
 )
 
 
 def parse_scalar(text: str) -> ExactScalar:
-    """Parse exact scalar strings: "0", "-1/2", "1/2 r2", "1/2 + 1/2 r2"."""
+    """Parse exact scalar strings: "0", "-1/2", "1/2 r2", "1/2 + 1/2 r2".
+
+    A decimal literal ("0.7071067811865476", "-0.5", "1e-17") is the exact
+    rational it denotes.
+    """
     m = _SCALAR_RE.match(text)
     if not m or (m.group("rat") is None and m.group("root") is None):
         raise ValueError(f"cannot parse exact scalar {text!r}")
@@ -217,15 +228,24 @@ class UnitaryMatrix:
         return f"UnitaryMatrix(dim={self.dim})"
 
 
-def check_unitary(m: UnitaryMatrix) -> bool:
-    """True iff M^T M is exactly the identity (all builtin matrices are real)."""
+def check_unitary(m: UnitaryMatrix, tolerance: float = 0) -> bool:
+    """True iff M^T M is the identity (all builtin matrices are real).
+
+    With tolerance 0 the product must equal the identity exactly; with a
+    positive tolerance every entry of M^T M - I must be within it.
+    """
     for i in range(m.dim):
         for j in range(m.dim):
             acc = ZERO
             for k in range(m.dim):
                 acc = acc + m.rows[k][i] * m.rows[k][j]
             want = ONE if i == j else ZERO
-            if acc != want:
+            if acc == want:
+                continue
+            try:
+                if not tolerance or abs(float(acc - want)) > tolerance:
+                    return False
+            except OverflowError:  # an entry far outside [-1, 1]
                 return False
     return True
 
@@ -254,7 +274,7 @@ Layer = Union[UnitaryMatrix, QueryLayer]
 class QueryAlgorithm:
     """Alternating unitary and sign-query layers with output bit labels."""
 
-    __slots__ = ("dim", "n", "layers", "outputs")
+    __slots__ = ("dim", "n", "layers", "outputs", "tolerance")
 
     def __init__(
         self,
@@ -262,11 +282,13 @@ class QueryAlgorithm:
         n: int,
         layers: Sequence[Layer],
         outputs: Sequence[int],
+        tolerance: float = 0,
     ) -> None:
         self.dim = dim
         self.n = n
         self.layers = tuple(layers)
         self.outputs = tuple(int(o) for o in outputs)
+        self.tolerance = tolerance
         if len(self.outputs) != dim:
             raise ValueError("outputs must label every basis index")
         if any(o not in (0, 1) for o in self.outputs):
@@ -275,8 +297,12 @@ class QueryAlgorithm:
             if isinstance(layer, UnitaryMatrix):
                 if layer.dim != dim:
                     raise ValueError("unitary layer dimension mismatch")
-                if not check_unitary(layer):
-                    raise ValueError("layer matrix is not exactly unitary")
+                if not check_unitary(layer, tolerance):
+                    raise ValueError(
+                        f"layer matrix is not unitary within {tolerance}"
+                        if tolerance
+                        else "layer matrix is not exactly unitary"
+                    )
             elif isinstance(layer, QueryLayer):
                 if layer.dim != dim:
                     raise ValueError("query layer dimension mismatch")
@@ -291,7 +317,7 @@ class QueryAlgorithm:
         return sum(1 for layer in self.layers if isinstance(layer, QueryLayer))
 
     def with_outputs(self, outputs: Sequence[int]) -> "QueryAlgorithm":
-        return QueryAlgorithm(self.dim, self.n, self.layers, outputs)
+        return QueryAlgorithm(self.dim, self.n, self.layers, outputs, self.tolerance)
 
     def __repr__(self) -> str:
         return (
@@ -308,9 +334,10 @@ class FinalState:
     outcome_prob: dict[int, ExactScalar]
     trace: Optional[tuple[tuple[ExactScalar, ...], ...]] = None
 
-    def deterministic_outcome(self) -> Optional[int]:
+    def deterministic_outcome(self, tolerance: float = 0) -> Optional[int]:
+        """The label with probability exactly 1, or within a positive tolerance of 1."""
         for label, prob in self.outcome_prob.items():
-            if prob == ONE:
+            if prob == ONE or (tolerance and abs(float(prob) - 1.0) <= tolerance):
                 return label
         return None
 
@@ -342,15 +369,18 @@ def simulate(alg: QueryAlgorithm, x, trace: bool = False) -> FinalState:
     return FinalState(state, probs, tuple(states) if trace else None)
 
 
+def final_states(alg: QueryAlgorithm) -> list[FinalState]:
+    """The final state on every input, by input index."""
+    return [simulate(alg, InputAssignment.from_index(alg.n, i)) for i in range(1 << alg.n)]
+
+
 def is_exact(alg: QueryAlgorithm, f: BooleanFunction) -> bool:
     """True iff the measured label equals f(x) with probability exactly 1, always."""
     if alg.n != f.n:
         raise ValueError("algorithm and function arity mismatch")
-    for i in range(1 << f.n):
-        final = simulate(alg, InputAssignment.from_index(f.n, i))
-        if final.outcome_prob[f.value_at(i)] != ONE:
-            return False
-    return True
+    return all(
+        final.outcome_prob[f.value_at(i)] == ONE for i, final in enumerate(final_states(alg))
+    )
 
 
 @dataclass(frozen=True)
@@ -371,24 +401,21 @@ class ClassAssignment:
 def classify_final(alg: QueryAlgorithm) -> ClassAssignment:
     n = alg.n
     full = (1 << n) - 1
+    indices = [final.deterministic_index() for final in final_states(alg)]
     index_of: dict[int, int] = {}
     for rep in range(1 << n):
         if rep > (full ^ rep):
             continue
-        hits = []
-        for member in {rep, full ^ rep}:
-            final = simulate(alg, InputAssignment.from_index(n, member))
-            idx = final.deterministic_index()
-            if idx is None:
+        for member in (rep, full ^ rep):
+            if indices[member] is None:
                 raise ValueError(
                     f"final state on input {member:0{n}b} is not a single basis state"
                 )
-            hits.append(idx)
-        if len(set(hits)) != 1:
+        if indices[rep] != indices[full ^ rep]:
             raise ValueError(
                 f"complement class of {rep:0{n}b} lands on two different indices"
             )
-        index_of[rep] = hits[0]
+        index_of[rep] = indices[rep]
     injective = len(set(index_of.values())) == len(index_of)
     return ClassAssignment(n, index_of, injective)
 
@@ -471,7 +498,7 @@ def a2() -> QueryAlgorithm:
 
 
 # ---------------------------------------------------------------------------
-# JSON codec (exact mode)
+# JSON codec
 # ---------------------------------------------------------------------------
 
 def algorithm_to_json_dict(alg: QueryAlgorithm) -> dict:
@@ -488,11 +515,12 @@ def algorithm_to_json_dict(alg: QueryAlgorithm) -> dict:
     return {"dim": alg.dim, "n": alg.n, "layers": layers, "outputs": list(alg.outputs)}
 
 
-def algorithm_from_json_dict(data: dict) -> QueryAlgorithm:
-    """Exact-mode decoder; variable numbers in query layers are 1-based.
+def algorithm_from_json_dict(data: dict, tolerance: float = 0) -> QueryAlgorithm:
+    """Decoder; variable numbers in query layers are 1-based.
 
-    Unitary entries must be strings: a JSON number such as ``0.7071`` is not
-    an exact scalar and is rejected.
+    Unitary entries must be strings (``parse_scalar``): a JSON number such as
+    ``0.7071`` is rejected.  ``tolerance`` is the unitarity tolerance; with 0
+    every matrix must be exactly unitary.
     """
     try:
         dim = int(data["dim"])
@@ -515,43 +543,5 @@ def algorithm_from_json_dict(data: dict) -> QueryAlgorithm:
             layers.append(QueryLayer(dim, assignment))
         else:
             raise ValueError(f"layer must be 'unitary' or 'query': {entry!r}")
-    return QueryAlgorithm(dim, n, layers, outputs)
+    return QueryAlgorithm(dim, n, layers, outputs, tolerance)
 
-
-# ---------------------------------------------------------------------------
-# Floating-point mode
-# ---------------------------------------------------------------------------
-
-@dataclass
-class FloatSimulation:
-    amplitudes: np.ndarray
-    outcome_prob: dict[int, float]
-
-    def outcome_within(self, tol: float = FLOAT_TOLERANCE) -> Optional[int]:
-        for label, p in self.outcome_prob.items():
-            if abs(p - 1.0) <= tol:
-                return label
-        return None
-
-
-def simulate_float(alg: QueryAlgorithm, x) -> FloatSimulation:
-    """Same computation in float arithmetic (cross-check / user tolerance mode)."""
-    x = coerce_input(x, alg.n)
-    state = np.zeros(alg.dim)
-    state[0] = 1.0
-    for layer in alg.layers:
-        if isinstance(layer, UnitaryMatrix):
-            m = np.array([[float(v) for v in row] for row in layer.rows])
-            state = m @ state
-        else:
-            signs = np.array(
-                [
-                    -1.0 if var is not None and x.bits[var] else 1.0
-                    for var in layer.assignment
-                ]
-            )
-            state = state * signs
-    probs = {0: 0.0, 1: 0.0}
-    for amp, label in zip(state, alg.outputs):
-        probs[label] += float(amp) ** 2
-    return FloatSimulation(state, probs)

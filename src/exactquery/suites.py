@@ -344,15 +344,27 @@ _PLAIN: dict[str, Callable[[], dict]] = {
 _PARAMETRIC = {"lemma2": ("lemma2:K", suite_lemma2), "lemma3": ("lemma3:K,T", suite_lemma3)}
 
 
-def run_suite(spec: str, count: Optional[int] = None, seed: int = DEFAULT_SEED) -> dict:
+_SAMPLED: dict[str, Callable[..., dict]] = {
+    "lemma1": suite_lemma1,
+    "inequalities": suite_inequalities,
+}
+
+
+def run_suite(spec: str, count: Optional[int] = None, seed: Optional[int] = None) -> dict:
     """Dispatch by suite name; parametric suites use name:args syntax.
 
-    Raises ``UnknownSuite`` for a name it does not know, and ``ValueError``
-    when a known suite rejects its parameters or ``count`` is not positive.
+    Only the sampled suites (lemma1, inequalities) take ``count`` and
+    ``seed``; None keeps the suite's default.  Raises ``UnknownSuite`` for a
+    name it does not know, and ``ValueError`` when a known suite rejects its
+    parameters, ``count`` is not positive, or a fixed suite is given
+    ``count`` or ``seed``.
     """
     if count is not None and count < 1:
         raise ValueError(f"count must be a positive integer, got {count}")
+    options = {key: value for key, value in (("count", count), ("seed", seed)) if value is not None}
     name, _, arg = spec.partition(":")
+    if name in _SAMPLED and not arg:
+        return _SAMPLED[name](**options)
     if name in _PARAMETRIC:
         usage, suite = _PARAMETRIC[name]
         try:
@@ -361,12 +373,13 @@ def run_suite(spec: str, count: Optional[int] = None, seed: int = DEFAULT_SEED) 
             params = []
         if len(params) != usage.count(",") + 1:
             raise ValueError(f"expected {usage} with integer parameters")
-        return suite(*params)
-    if name == "lemma1":
-        return suite_lemma1(count=count if count is not None else 1000, seed=seed)
-    if name == "inequalities":
-        return suite_inequalities(count=count if count is not None else 500, seed=seed)
-    if name in _PLAIN and not arg:
-        return _PLAIN[name]()
-    names = [*_PLAIN, "lemma1", "inequalities"] + [usage for usage, _ in _PARAMETRIC.values()]
-    raise UnknownSuite(f"{spec!r}; suites are {', '.join(names)}")
+    elif name in _PLAIN and not arg:
+        suite, params = _PLAIN[name], []
+    else:
+        names = [*_PLAIN, *_SAMPLED] + [usage for usage, _ in _PARAMETRIC.values()]
+        raise UnknownSuite(f"{spec!r}; suites are {', '.join(names)}")
+    if options:
+        raise ValueError(
+            f"takes no {' or '.join(options)}; only {' and '.join(_SAMPLED)} are sampled"
+        )
+    return suite(*params)

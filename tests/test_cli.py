@@ -162,6 +162,43 @@ def test_simulate_rejects_json_numbers_in_exact_mode(tmp_path, capsys):
     assert doc is None
 
 
+def _hadamard_test(tmp_path, entry):
+    """H, a sign query on x1 for amplitude 0, H: the outcome is x1."""
+    h = {"unitary": [[entry, entry], [entry, "-" + entry]]}
+    path = tmp_path / "hadamard.json"
+    path.write_text(json.dumps(
+        {"dim": 2, "n": 1, "layers": [h, {"query": [1, None]}, h], "outputs": [0, 1]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("bit", ["0", "1"])
+def test_simulate_float_reads_decimal_entries(tmp_path, capsys, bit):
+    path = _hadamard_test(tmp_path, "0.7071067811865476")
+    code, doc = run(capsys, "simulate", "--alg", path, "--input", bit, "--float", "--trace")
+    assert code == 0
+    assert doc["mode"] == "float"
+    assert doc["outcome"] == int(bit)
+    assert abs(doc["probabilities"][bit] - 1.0) < 1e-9
+    assert len(doc["trace"]) == 3
+    assert all(isinstance(a, float) for a in doc["trace"][0]["amplitudes"])
+
+
+def test_simulate_exact_mode_refuses_decimal_hadamard(tmp_path, capsys):
+    path = _hadamard_test(tmp_path, "0.7071067811865476")
+    assert cli.main(["simulate", "--alg", path, "--input", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not exactly unitary" in captured.err
+
+
+def test_simulate_float_refuses_coarse_decimals(tmp_path, capsys):
+    path = _hadamard_test(tmp_path, "0.7071")
+    assert cli.main(["simulate", "--alg", path, "--input", "0", "--float"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not unitary within 1e-09" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -218,6 +255,27 @@ def test_verify_rejects_nonpositive_count(capsys, suite, count):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"count must be a positive integer, got {count}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, rejected",
+    [
+        (["--suite", "a1", "--count", "5"], "count"),
+        (["--suite", "lemma2:3", "--count", "7", "--seed", "3"], "count or seed"),
+        (["--suite", "table1", "--seed", "977"], "seed"),
+        (["--suite", "lemma3:3,1", "--seed", "1"], "seed"),
+    ],
+)
+def test_verify_fixed_suites_reject_count_and_seed(capsys, argv, rejected):
+    assert cli.main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"suite {argv[1]}: takes no {rejected};")
+
+
+def test_verify_sampled_suites_take_no_parameters(capsys):
+    assert cli.main(["verify", "--suite", "lemma1:3"]) == 2
+    assert "unknown suite: 'lemma1:3'" in capsys.readouterr().err
 
 
 def test_verify_output_is_deterministic(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from exactquery import qsim
+from exactquery import boolfn, qsim
 from exactquery.boolfn import (
     BooleanFunction,
     InputAssignment,
@@ -52,6 +52,24 @@ def test_tree_computes_function_and_is_read_once():
             value, reads = tree.evaluate(x)
             assert value == h(x)
             assert reads <= tree.depth()
+
+
+def test_tree_for_13_variables():
+    or13 = BooleanFunction(13, [0] + [1] * ((1 << 13) - 1))
+    tree = build_decision_tree(or13)
+    assert tree.depth() == 13
+    assert tree.evaluate("0" * 13) == (0, 13)
+    assert tree.evaluate("1" + "0" * 12) == (1, 1)
+
+
+def test_tree_and_gap_refuse_more_than_max_dcap(monkeypatch):
+    monkeypatch.setattr(boolfn, "MAX_DCAP", 5)
+    f3 = named_function("F3")
+    with pytest.raises(ValueError, match="capped at n=5"):
+        build_decision_tree(BooleanFunction(6, [0] + [1] * 63))
+    with pytest.raises(ValueError, match="capped at 5 variables"):
+        verify_gap(AND2, f3, qsim.a1())
+    assert verify_gap(BooleanFunction(1, (0, 1)), f3, qsim.a1()).correct
 
 
 def test_tree_short_circuits_and2():
@@ -166,3 +184,10 @@ def test_gap_report_json():
         "ratio_num": 2,
         "ratio_den": 3,
     }
+
+
+def test_gap_rejects_constant_inner_function():
+    constant = BooleanFunction.constant(3, 1)
+    inner = qsim.relabel_outputs(qsim.a1(), constant)
+    with pytest.raises(ValueError, match="constant"):
+        verify_gap(AND2, constant, inner)

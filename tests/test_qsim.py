@@ -1,12 +1,13 @@
 """Exact scalars, unitarity, simulation, relabeling and the builtin algorithms."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from exactquery.boolfn import BooleanFunction, InputAssignment, named_function
-from exactquery import qsim
+from exactquery import cli, qsim
 from exactquery.qsim import (
     HALF,
     INV_SQRT2,
@@ -22,11 +23,11 @@ from exactquery.qsim import (
     algorithm_to_json_dict,
     check_unitary,
     classify_final,
+    final_states,
     is_exact,
     parse_scalar,
     relabel_outputs,
     simulate,
-    simulate_float,
 )
 
 
@@ -76,6 +77,22 @@ def test_scalar_parse_errors():
             parse_scalar(bad)
 
 
+def test_scalar_parse_decimals_exactly():
+    assert parse_scalar("0.5") == HALF
+    assert parse_scalar("-0.5") == -HALF
+    assert parse_scalar("1e-17") == ExactScalar.of(Fraction(1, 10**17))
+    assert parse_scalar("0.7071067811865476").a == Fraction(7071067811865476, 10**16)
+    assert parse_scalar("0.5 + 1/2 r2") == ExactScalar.of(Fraction(1, 2), Fraction(1, 2))
+
+
+def test_scalar_parse_does_not_split_a_number():
+    assert parse_scalar("12 r2") == ExactScalar.of(0, 12)
+    assert parse_scalar("11/2 r2") == ExactScalar.of(0, Fraction(11, 2))
+    for bad in ("1.5 r2", "1/2.5", "1e1000"):
+        with pytest.raises(ValueError):
+            parse_scalar(bad)
+
+
 def test_scalar_float():
     assert abs(float(INV_SQRT2) - 0.7071067811865476) < 1e-15
 
@@ -106,6 +123,15 @@ def test_check_unitary_fixtures():
     assert check_unitary(_u1())
     ones = UnitaryMatrix.from_values([[1, 1], [1, 1]])
     assert not check_unitary(ones)
+
+
+def test_check_unitary_tolerance():
+    r = "0.7071067811865476"
+    decimal = UnitaryMatrix.from_values([[r, r], [r, "-" + r]])
+    assert not check_unitary(decimal)
+    assert check_unitary(decimal, 1e-9)
+    assert not check_unitary(UnitaryMatrix.from_values([[1, 1], [1, 1]]), 1e-9)
+    assert not check_unitary(UnitaryMatrix.from_values([["1e400", "0"], ["0", "1"]]), 1e-9)
 
 
 def test_algorithm_rejects_non_unitary_layer():
@@ -161,6 +187,14 @@ def test_a1_contract():
     assert alg.query_count == 2
     assert alg.outputs == (0, 0, 0, 1)
     assert is_exact(alg, named_function("F3"))
+
+
+def test_final_states_are_simulate_by_input_index():
+    for alg in (a1(), a2()):
+        finals = final_states(alg)
+        assert len(finals) == 1 << alg.n
+        for i, final in enumerate(finals):
+            assert final == simulate(alg, InputAssignment.from_index(alg.n, i))
 
 
 def test_a1_is_basis_deterministic_everywhere():
@@ -338,12 +372,13 @@ def test_algorithm_json_rejects_garbage():
         )
 
 
-def test_float_mode_agrees_with_exact():
-    for alg, n in ((a1(), 3), (a2(), 4)):
-        for i in range(1 << n):
-            x = InputAssignment.from_index(n, i)
+def test_float_mode_agrees_with_exact(capsys):
+    for name, alg in (("a1", a1()), ("a2", a2())):
+        for i in range(1 << alg.n):
+            x = InputAssignment.from_index(alg.n, i)
             exact = simulate(alg, x)
-            approx = simulate_float(alg, x)
+            assert cli.main(["simulate", "--alg", f"builtin:{name}", "--input", str(x), "--float"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["outcome"] == exact.deterministic_outcome()
             for label in (0, 1):
-                assert abs(float(exact.outcome_prob[label]) - approx.outcome_prob[label]) < 1e-12
-            assert approx.outcome_within() == exact.deterministic_outcome()
+                assert doc["probabilities"][str(label)] == float(exact.outcome_prob[label])
