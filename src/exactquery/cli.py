@@ -242,10 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_construct)
 
     p = sub.add_parser("fit-collapser", help="fit or search range collapsers")
-    p.add_argument("--values", help="comma-separated sample values at 0..k")
-    p.add_argument("--k", type=int, help="search the canonical collapser for odd k")
-    p.add_argument("--published-k7", action="store_true", dest="published_k7",
-                   help="evaluate the published k=7 transcription")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--values", help="comma-separated sample values at 0..k")
+    mode.add_argument("--k", type=int, help="search the canonical collapser for odd k")
+    mode.add_argument("--published-k7", action="store_true", dest="published_k7",
+                      help="evaluate the published k=7 transcription")
     p.set_defaults(handler=_cmd_fit_collapser)
     return parser
 

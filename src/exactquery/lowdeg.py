@@ -15,7 +15,7 @@ truth tables by broadcasting, up to ``boolfn.MAX_N`` variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -388,21 +388,7 @@ class ConstructionReport:
     notes: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "family": self.family,
-            "params": self.params,
-            "claimed_degree": self.claimed_degree,
-            "computed_degree": self.computed_degree,
-            "degree_mode": self.degree_mode,
-            "degree_reason": self.degree_reason,
-            "claimed_d": self.claimed_d,
-            "witness_input": self.witness_input,
-            "witness_sensitivity": self.witness_sensitivity,
-            "qe_lower": self.qe_lower,
-            "status": self.status,
-            "notes": list(self.notes),
-        }
+        return {**asdict(self), "notes": list(self.notes)}
 
 
 def witness_sensitivity(cf: ConstructedFunction) -> int:
@@ -419,22 +405,16 @@ def witness_sensitivity(cf: ConstructedFunction) -> int:
 def certify(cf: ConstructedFunction, mode: str = "auto") -> ConstructionReport:
     """Compare claimed degree and depth evidence against computed values.
 
-    Modes: "exact" runs the integer subset transform of the truth table (n up
-    to ``boolfn.MAX_N``), "structural" echoes the claims.  "auto" picks exact
-    whenever a truth table exists.
+    Modes: "exact" runs the integer subset transform of the truth table
+    (``polynomial.table_degree``, n up to ``boolfn.MAX_N``), "structural"
+    echoes the claims.  "auto" picks exact whenever a truth table exists.
     """
     if mode == "auto":
         mode = "exact" if cf.has_table else "structural"
-    computed: Optional[int] = None
-    reason: Optional[str] = None
-    degree_mode: Optional[str] = None
-
     if mode == "exact":
-        coeffs = polynomial.mobius_coefficients(cf.table())
-        computed = polynomial._max_popcount_nonzero(coeffs)
-        degree_mode = "exact"
+        computed, degree_mode, reason = polynomial.table_degree(cf.table()), "exact", None
     elif mode == "structural":
-        reason = f"n={cf.n} exceeds brute-force scope"
+        computed, degree_mode, reason = None, None, f"n={cf.n} exceeds brute-force scope"
     else:
         raise ValueError(f"unknown certification mode {mode!r}")
 

@@ -10,46 +10,55 @@ index ``i`` exactly when ``mask & i == mask``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .boolfn import BooleanFunction, coerce_input
+from .boolfn import BooleanFunction
 
 # interpolate builds one Fraction per term; every 2^n array is otherwise
 # bounded by boolfn.MAX_N alone
 INTERPOLATION_CAP = 24
 
-_CHUNK = 1 << 22
+# table_degree's stage-1 blocks (int16) and stage-2 slabs (int32) take about
+# 1 MB of cache each; int16 holds every value after at most 15 passes, and
+# stage 1 runs the 6 lowest bits' short-run passes on a transposed block.
+_LOW_BITS = 15
+_BLOCK = 1 << 19
+_SLAB = 1 << 18
+_SWAP_BITS = 6
 
-_pc16 = None
 
-
+@functools.cache
 def _popcount16() -> np.ndarray:
-    global _pc16
-    if _pc16 is None:
-        table = np.zeros(1 << 16, dtype=np.int8)
-        for b in range(16):
-            table += ((np.arange(1 << 16) >> b) & 1).astype(np.int8)
-        _pc16 = table
-    return _pc16
+    """The popcount of every 16-bit value, as int8."""
+    pc = np.zeros(1, dtype=np.int8)
+    for _ in range(16):
+        pc = np.concatenate([pc, pc + 1])
+    return pc
 
 
-def _subset_transform(a: np.ndarray, sign: int) -> np.ndarray:
-    """In-place subset transform of a contiguous 2^n array, one pass per variable.
-
-    Sign -1 turns values into coefficients (Mobius), +1 turns coefficients
-    back into values (zeta); either way n * 2^n additions.
-    """
+def _log2_size(a: np.ndarray) -> int:
     n = int(a.size).bit_length() - 1
     if a.size != 1 << n:
         raise ValueError("table length must be a power of two")
+    return n
+
+
+def _subset_transform(a: np.ndarray, sign: int, bits: int, run: int = 1) -> np.ndarray:
+    """In-place subset transform of a contiguous array over the low ``bits``
+    bits of ``index // run``, one pass per bit.
+
+    Sign -1 turns values into coefficients (Mobius), +1 turns coefficients
+    back into values (zeta).
+    """
     op = np.subtract if sign < 0 else np.add
-    for b in range(n):
-        v = a.reshape(-1, 2, 1 << b)
+    for b in range(bits):
+        v = a.reshape(-1, 2, run << b)
         op(v[:, 1, :], v[:, 0, :], out=v[:, 1, :])
     return a
 
@@ -61,24 +70,50 @@ def mobius_coefficients(table: np.ndarray) -> np.ndarray:
     alternating sum of 0/1 values over at most 2^n subsets, so its magnitude
     is at most 2^(n-1): int32 is exact for n <= 31, beyond ``boolfn.MAX_N``.
     """
-    return _subset_transform(np.asarray(table).astype(np.int32), -1)
+    a = np.asarray(table).astype(np.int32)
+    return _subset_transform(a, -1, _log2_size(a))
 
 
 def evaluate_coefficients(coeffs: np.ndarray) -> np.ndarray:
     """Inverse (zeta) transform: table of values from coefficients by mask."""
-    return _subset_transform(np.asarray(coeffs).astype(np.int64), 1)
+    a = np.asarray(coeffs).astype(np.int64)
+    return _subset_transform(a, 1, _log2_size(a))
 
 
-def _max_popcount_nonzero(coeffs: np.ndarray) -> int:
-    pc16 = _popcount16()
+def table_degree(table: np.ndarray) -> int:
+    """Degree of the representing polynomial of a 0/1 table of length 2^n.
+
+    Two cache-sized stages, without any 2^n-entry int32 array.  Index
+    hi * 2^L + lo, L = min(n, 15), is row hi and column lo of one int16
+    array.  Stage 1 runs the L low-bit passes on blocks of whole rows, stage
+    2 the high-bit passes in int32 on one column slab at a time, keeping the
+    largest popcount(hi) + popcount(lo) over the slab's nonzero entries.
+    """
+    table = np.asarray(table)
+    n = _log2_size(table)
+    low = min(n, _LOW_BITS)
+    high = n - low
+    width = 1 << low
+    mid = np.empty((1 << high, width), dtype=np.int16)
+    block = min(_BLOCK, table.size)
+    swap = min(low, _SWAP_BITS)
+    for start in range(0, table.size, block):
+        seg = mid.reshape(-1)[start : start + block]
+        swapped = table[start : start + block].reshape(-1, 1 << swap).T.astype(np.int16, order="C")
+        _subset_transform(swapped, -1, swap, block >> swap)
+        seg.reshape(-1, 1 << swap)[...] = swapped.T
+        _subset_transform(seg, -1, low - swap, 1 << swap)
+    del swapped
+
+    pc = _popcount16()
+    cols = min(width, _SLAB >> high)
+    # popcount(hi) + popcount(lo - c0) by slab entry, as c0 is a multiple of
+    # the power of two cols; 1 + that at the nonzero entries, 0 elsewhere
+    weight = pc[: 1 << high, None] + pc[None, :cols]
     best = 0
-    for start in range(0, coeffs.size, _CHUNK):
-        seg = coeffs[start : start + _CHUNK]
-        nz = np.flatnonzero(seg)
-        if nz.size:
-            masks = nz.astype(np.int64) + start
-            pcs = pc16[masks & 0xFFFF] + pc16[masks >> 16]
-            best = max(best, int(pcs.max()))
+    for c0 in range(0, width, cols):
+        slab = _subset_transform(mid[:, c0 : c0 + cols].astype(np.int32), -1, high, cols)
+        best = max(best, int(((weight + (pc[c0] + 1)) * (slab != 0)).max()) - 1)
     return best
 
 
@@ -168,9 +203,6 @@ class MultilinearPolynomial:
             Fraction(0),
         )
 
-    def evaluate(self, x) -> Fraction:
-        return self.evaluate_index(coerce_input(x, self.n).index)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MultilinearPolynomial)
@@ -215,13 +247,9 @@ def interpolate(f: BooleanFunction) -> MultilinearPolynomial:
     )
 
 
-def degree(p: MultilinearPolynomial) -> int:
-    return p.degree()
-
-
 def degree_of(f: BooleanFunction) -> int:
     """Degree of the representing polynomial, without materializing terms."""
-    return _max_popcount_nonzero(mobius_coefficients(f.table()))
+    return table_degree(f.table())
 
 
 def verify_represents(p: MultilinearPolynomial, f: BooleanFunction) -> bool:
@@ -270,8 +298,6 @@ class RangePolynomial:
 
     @property
     def degree(self) -> int:
-        if len(self.coefficients) == 1 and self.coefficients[0] == 0:
-            return 0
         return len(self.coefficients) - 1
 
     def __call__(self, z) -> Fraction:
@@ -318,17 +344,10 @@ def fit_range_polynomial(values: Sequence[Union[int, Fraction]]) -> RangePolynom
                 nxt[power + 1] += c
                 nxt[power] -= c * (i - 1)
             falling = nxt
-        scale = d / _factorial(i)
+        scale = d / factorial(i)
         for power, c in enumerate(falling):
             coeffs[power] += scale * c
     return RangePolynomial(tuple(coeffs))
-
-
-def _factorial(i: int) -> int:
-    out = 1
-    for j in range(2, i + 1):
-        out *= j
-    return out
 
 
 def kth_finite_difference(values: Sequence[int], k: int) -> int:

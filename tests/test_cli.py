@@ -363,6 +363,23 @@ def test_fit_collapser_requires_an_input(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--values", "1,0", "--k", "5"],
+        ["--k", "5", "--published-k7"],
+        ["--published-k7", "--values", "1,0,0,1"],
+    ],
+)
+def test_fit_collapser_modes_are_exclusive(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fit-collapser", *argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # environment knobs
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Interpolation, degrees, range polynomials and collapsers."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -131,6 +132,67 @@ def test_parity_20_full_mask_coefficient():
     coeffs = polynomial.mobius_coefficients(parity)
     assert int(coeffs[(1 << n) - 1]) == (-2) ** (n - 1)  # the 2^(n-1) bound is tight
     assert degree_of(BooleanFunction(n, parity)) == n
+
+
+def reference_degree(table):
+    """int64 Mobius transform, one pass per bit, then the largest popcount."""
+    n = table.size.bit_length() - 1
+    coeffs = table.astype(np.int64)
+    for b in range(n):
+        v = coeffs.reshape(-1, 2, 1 << b)
+        v[:, 1, :] -= v[:, 0, :]
+    return max((bin(int(mask)).count("1") for mask in np.flatnonzero(coeffs)), default=0)
+
+
+def kernel_tables(rng, n):
+    idx = np.arange(1 << n)
+    parity = np.zeros(1 << n, dtype=np.uint8)
+    for b in range(n):
+        parity ^= ((idx >> b) & 1).astype(np.uint8)
+    # a random function of a few variables: its top monomials sit at
+    # masks other than the full one, on both sides of the 15-bit split
+    k = int(rng.integers(0, min(n, 5) + 1))
+    junta = np.zeros(1 << n, dtype=np.int64)
+    for var in rng.choice(n, size=k, replace=False):
+        junta = (junta << 1) | ((idx >> var) & 1)
+    return {
+        "random": rng.integers(0, 2, 1 << n).astype(np.uint8),
+        "parity": parity,
+        "and": (idx == (1 << n) - 1).astype(np.uint8),
+        "zero": np.zeros(1 << n, dtype=np.uint8),
+        "one": np.ones(1 << n, dtype=np.uint8),
+        "junta": rng.integers(0, 2, 1 << k).astype(np.uint8)[junta],
+    }
+
+
+@pytest.mark.parametrize("shrunk", [False, True])
+@pytest.mark.parametrize("n", range(19))
+def test_table_degree_matches_reference(n, shrunk, monkeypatch):
+    if shrunk:
+        # 5 low bits, blocks of 4 rows, slabs of 2^13 entries: small tables
+        # then cross many blocks and slabs, and stage 2 runs from n = 6
+        monkeypatch.setattr(polynomial, "_LOW_BITS", 5)
+        monkeypatch.setattr(polynomial, "_BLOCK", 1 << 7)
+        monkeypatch.setattr(polynomial, "_SLAB", 1 << 13)
+    tables = kernel_tables(np.random.default_rng(100 + n), n)
+    for name, table in tables.items():
+        assert polynomial.table_degree(table) == reference_degree(table), name
+    # from n = 15 on, parity's values after the 15 int16 passes reach that
+    # stage's bound of 2^14 exactly
+    assert polynomial.table_degree(tables["parity"]) == n
+
+
+def test_table_degree_allocates_no_2n_int32_array():
+    n = 22
+    table = np.random.default_rng(71).integers(0, 2, 1 << n).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        degree = polynomial.table_degree(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert degree == n
+    assert peak < 3 << n  # an int32 coefficient array alone is 4 << n bytes
 
 
 def test_random_functions_round_trip():
