@@ -8,7 +8,7 @@ arrays of length ``2**n`` indexed that way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -292,34 +292,37 @@ def _partial_assignment_tables(f: BooleanFunction) -> tuple[np.ndarray, np.ndarr
     depth sits at the all-free code ``3**n - 1``.
 
     Both tables are the flattened C-order ``(3,) * n`` cube whose axis ``a``
-    is variable ``x_{a+1}``.  Flags come from an OR over each axis, seeded on
-    the all-fixed corner by the truth table.  Round ``d`` solves every state
-    with a free axis whose two children were solved before the round, and
-    each state's depth counts the rounds that left it unsolved.  The rounds
+    is variable ``x_{a+1}``, addressed as the middle axis of the view
+    ``reshape(-1, 3, 3 ** (n - 1 - a))``.  Flags come from an OR over each
+    axis, seeded on the all-fixed corner by the truth table.  Round ``d``
+    solves every state with a free axis whose two children were solved
+    before the round, and each state's depth counts the rounds that left it
+    unsolved.  The rounds
     stop once the all-free state is solved; restriction never increases
     depth, so every state is solved by then and every entry is final.
     """
     n = f.n
     if n > MAX_DCAP:
         raise ValueError(f"exact depth needs 3**n states; capped at n={MAX_DCAP}, got n={n}")
-    shape = (3,) * n
-    flags = np.zeros(shape, dtype=np.uint8)
+    flags = np.zeros((3,) * n, dtype=np.uint8)
     flags[(slice(0, 2),) * n] = f.table().reshape((2,) * n) + 1
+    flags = flags.reshape(-1)
     for a in range(n):
-        v = np.moveaxis(flags, a, 0)
-        v[2, ...] = v[0] | v[1]
+        v = flags.reshape(-1, 3, 3 ** (n - 1 - a))
+        v[:, 2] = v[:, 0] | v[:, 1]
 
     solved = flags != 3
     grown = np.empty_like(solved)
     depth = (~solved).astype(np.int8)
-    while not solved.flat[-1]:
+    while not solved[-1]:
         np.copyto(grown, solved)
         for a in range(n):
-            s, g = np.moveaxis(solved, a, 0), np.moveaxis(grown, a, 0)
-            g[2, ...] |= s[0] & s[1]
+            s = solved.reshape(-1, 3, 3 ** (n - 1 - a))
+            g = grown.reshape(-1, 3, 3 ** (n - 1 - a))
+            g[:, 2] |= s[:, 0] & s[:, 1]
         solved, grown = grown, solved
         depth += ~solved
-    return depth.reshape(-1), flags.reshape(-1)
+    return depth, flags
 
 
 def deterministic_complexity(f: BooleanFunction, cap: int = DEFAULT_DCAP) -> Optional[int]:
@@ -357,6 +360,28 @@ def enumerate_complement_symmetric_full_d(n: int) -> list[BooleanFunction]:
     return found
 
 
+def compose_table(
+    outer: np.ndarray, inner: np.ndarray, blocks: Sequence[Sequence[int]]
+) -> np.ndarray:
+    """uint8 truth table of an outer function of one inner function on disjoint blocks.
+
+    ``outer`` is the uint8 table over the k block values (block 1 most
+    significant), ``inner`` the uint8 table of one block, and ``blocks``
+    gives each block's variables (0-based) in the inner function's variable
+    order; together they cover each variable once.  Taking the inner table
+    along each axis of the ``(2,)*k`` outer cube swaps that 2-wide axis for
+    the block's 2^b entries, so only uint8 arrays are built.  The ``(2,)*n``
+    result is then transposed to variable order; for consecutive blocks in
+    order the transpose is the identity and copies nothing.
+    """
+    cube = outer.reshape((2,) * len(blocks))
+    for axis in range(len(blocks)):
+        cube = np.take(cube, inner, axis=axis)
+    axis_vars = [var for block in blocks for var in block]
+    cube = cube.reshape((2,) * len(axis_vars)).transpose(np.argsort(axis_vars))
+    return np.ascontiguousarray(cube).reshape(-1)
+
+
 def compose_function(h: BooleanFunction, f1: BooleanFunction) -> BooleanFunction:
     """h applied to f1 evaluated on consecutive disjoint blocks of variables.
 
@@ -367,19 +392,8 @@ def compose_function(h: BooleanFunction, f1: BooleanFunction) -> BooleanFunction
     total = n * m
     if total > MAX_N:
         raise ValueError(f"composite would need {total} > {MAX_N} variables")
-    ht = h.table()
-    ft = f1.table().astype(np.int64)
-    block_mask = (1 << m) - 1
-    out = np.empty(1 << total, dtype=np.uint8)
-    chunk = 1 << 20
-    for start in range(0, 1 << total, chunk):
-        idx = np.arange(start, min(start + chunk, 1 << total), dtype=np.int64)
-        hidx = np.zeros(idx.size, dtype=np.int64)
-        for j in range(n):
-            shift = (n - 1 - j) * m
-            hidx = (hidx << 1) | ft[(idx >> shift) & block_mask]
-        out[start : start + idx.size] = ht[hidx]
-    return BooleanFunction(total, out)
+    blocks = [range(j * m, j * m + m) for j in range(n)]
+    return BooleanFunction(total, compose_table(h.table(), f1.table(), blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -397,15 +411,7 @@ class ComplexityReport:
     complement_symmetric: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "sensitivity": self.sensitivity,
-            "d_exact": self.d_exact,
-            "d_lower": self.d_lower,
-            "degree": self.degree,
-            "qe_lower": self.qe_lower,
-            "complement_symmetric": self.complement_symmetric,
-        }
+        return asdict(self)
 
 
 def complexity_report(f: BooleanFunction, dcap: int = DEFAULT_DCAP) -> ComplexityReport:

@@ -76,7 +76,6 @@ def build_decision_tree(h: BooleanFunction) -> DecisionTree:
     """
     depth, flags = boolfn._partial_assignment_tables(h)
     n = h.n
-    pow3 = [3**j for j in range(n)]
 
     def build(state: int) -> TreeNode:
         if flags[state] != 3:
@@ -84,16 +83,14 @@ def build_decision_tree(h: BooleanFunction) -> DecisionTree:
         best_var = -1
         best = None
         for var in range(n):
-            j = n - 1 - var  # digit position of this variable
-            if (state // pow3[j]) % 3 != 2:
+            stride = 3 ** (n - 1 - var)  # place value of this variable's digit
+            if (state // stride) % 3 != 2:
                 continue
-            child0 = state - 2 * pow3[j]
-            child1 = state - pow3[j]
-            cand = 1 + max(int(depth[child0]), int(depth[child1]))
+            cand = 1 + max(int(depth[state - 2 * stride]), int(depth[state - stride]))
             if best is None or cand < best:
                 best, best_var = cand, var
-        j = n - 1 - best_var
-        return Node(best_var, build(state - 2 * pow3[j]), build(state - pow3[j]))
+        stride = 3 ** (n - 1 - best_var)
+        return Node(best_var, build(state - 2 * stride), build(state - stride))
 
     tree = DecisionTree(n, build(3**n - 1))
     want = int(depth[3**n - 1])

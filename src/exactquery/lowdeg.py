@@ -9,8 +9,9 @@ with tripled arity.
 
 Families are described as composition data (``Compose``: a symmetric outer
 function of one inner function on disjoint variable blocks), so one
-evaluator serves every member at any arity, and one builder materializes
-truth tables by broadcasting, up to ``boolfn.MAX_N`` variables.
+evaluator serves every member at any arity, and truth tables, up to
+``boolfn.MAX_N`` variables, come from the one composition builder
+``boolfn.compose_table``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from typing import Optional, Union
 import numpy as np
 
 from . import polynomial
-from .boolfn import MAX_N, BooleanFunction, InputAssignment, coerce_input
+from .boolfn import (
+    MAX_N, BooleanFunction, InputAssignment, coerce_input, compose_table, sensitivity_at,
+)
 from .polynomial import find_collapser, published_k7_collapser, collapser_transcription_report
 
 # the degree-2 collapser for {0..3}: values 1,0,0,1
@@ -173,26 +176,18 @@ def _value_at(f: Union[tuple[int, ...], Compose], i: int) -> int:
 
 
 def _table(f: Union[tuple[int, ...], Compose]) -> np.ndarray:
-    """uint8 truth table of a truth table or a composition, by broadcasting.
+    """uint8 truth table of a truth table or a composition.
 
-    Outer-adding the inner table once per block gives the block-value sums
-    on a cube whose axes are the blocks' variables in block order.  The
-    outer values are looked up there, before the ``(2,)*n`` cube is
-    transposed to variable order, so at most two 2^n-entry uint8 arrays are
-    alive at once; for contiguous blocks in order the transpose is the
-    identity and copies nothing.
+    A composition's table comes from ``boolfn.compose_table``: the outer
+    values by block-value count become a table over the k block values
+    (the count is the popcount of its index; ``build_f3k`` and
+    ``iterate_triple`` keep k at most 15), and the inner table is built
+    the same way, recursively.
     """
     if isinstance(f, tuple):
         return np.array(f, dtype=np.uint8)
-    inner = _table(f.inner)
-    sums = inner
-    for _ in f.blocks[1:]:
-        sums = np.add.outer(sums, inner)
-    values = np.array(f.outer, dtype=np.uint8)[sums]
-    del sums
-    axis_vars = [var for block in f.blocks for var in block]
-    cube = values.reshape((2,) * f.n).transpose(np.argsort(axis_vars))
-    return np.ascontiguousarray(cube).reshape(-1)
+    outer = np.array(f.outer, dtype=np.uint8)[polynomial._popcount16()[: 1 << len(f.blocks)]]
+    return compose_table(outer, _table(f.inner), f.blocks)
 
 
 @dataclass(frozen=True)
@@ -393,13 +388,7 @@ class ConstructionReport:
 
 def witness_sensitivity(cf: ConstructedFunction) -> int:
     """Single-flip sensitivity at the designated witness input (n+1 calls)."""
-    base_index = InputAssignment(cf.n, cf.witness_input).index
-    v = cf.value_at(base_index)
-    return sum(
-        1
-        for j in range(cf.n)
-        if cf.value_at(base_index ^ (1 << (cf.n - 1 - j))) != v
-    )
+    return sensitivity_at(cf, cf.witness_input)
 
 
 def certify(cf: ConstructedFunction, mode: str = "auto") -> ConstructionReport:

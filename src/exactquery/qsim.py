@@ -523,12 +523,20 @@ def algorithm_from_json_dict(data: dict, tolerance: float = 0) -> QueryAlgorithm
     every matrix must be exactly unitary.
     """
     try:
-        dim = int(data["dim"])
-        n = int(data["n"])
+        dim, n = data["dim"], data["n"]
         raw_layers = data["layers"]
         outputs = data["outputs"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed algorithm JSON: {exc}") from exc
+    # JSON integers only: not 3.7, "3" or true
+    if type(dim) is not int or type(n) is not int:
+        raise ValueError(
+            f"malformed algorithm JSON: dim and n must be integers, got {dim!r} and {n!r}"
+        )
+    if type(outputs) is not list or any(type(o) is not int for o in outputs):
+        raise ValueError(
+            f"malformed algorithm JSON: outputs must be a list of integers, got {outputs!r}"
+        )
     layers: list[Layer] = []
     for entry in raw_layers:
         if "unitary" in entry:
@@ -537,9 +545,11 @@ def algorithm_from_json_dict(data: dict, tolerance: float = 0) -> QueryAlgorithm
                 raise ValueError('exact scalars must be JSON strings such as "1/2 r2"')
             layers.append(UnitaryMatrix.from_values(rows))
         elif "query" in entry:
-            assignment = tuple(
-                None if v is None else int(v) - 1 for v in entry["query"]
-            )
+            if any(v is not None and type(v) is not int for v in entry["query"]):
+                raise ValueError(
+                    f"malformed algorithm JSON: query variables must be integers or null: {entry!r}"
+                )
+            assignment = tuple(None if v is None else v - 1 for v in entry["query"])
             layers.append(QueryLayer(dim, assignment))
         else:
             raise ValueError(f"layer must be 'unitary' or 'query': {entry!r}")

@@ -150,38 +150,26 @@ def suite_relabel4() -> dict:
 def suite_compose() -> dict:
     and2 = BooleanFunction(2, (0, 0, 0, 1))
     checks = []
-    for i in range(1, 9):
-        f1 = boolfn.named_function(f"table1:{i}")
-        inner = qsim.relabel_outputs(qsim.a1(), f1)
-        report = compose.verify_gap(and2, f1, inner)
-        checks.append(
-            _check(
-                f"and2_of_table1:{i}",
-                {"correct": True, "max_queries": 4, "d_exact": 6, "ratio": "2/3"},
-                {
-                    "correct": report.correct,
-                    "max_queries": report.max_queries,
-                    "d_exact": report.d_exact,
-                    "ratio": str(report.ratio),
-                },
+    for fixture, algorithm, d_exact, ratio in (
+        ("table1", qsim.a1, 6, "2/3"),
+        ("table2", qsim.a2, 8, "1/2"),
+    ):
+        for i in range(1, 9):
+            f1 = boolfn.named_function(f"{fixture}:{i}")
+            inner = qsim.relabel_outputs(algorithm(), f1)
+            report = compose.verify_gap(and2, f1, inner)
+            checks.append(
+                _check(
+                    f"and2_of_{fixture}:{i}",
+                    {"correct": True, "max_queries": 4, "d_exact": d_exact, "ratio": ratio},
+                    {
+                        "correct": report.correct,
+                        "max_queries": report.max_queries,
+                        "d_exact": report.d_exact,
+                        "ratio": str(report.ratio),
+                    },
+                )
             )
-        )
-    for i in range(1, 9):
-        g = boolfn.named_function(f"table2:{i}")
-        inner = qsim.relabel_outputs(qsim.a2(), g)
-        report = compose.verify_gap(and2, g, inner)
-        checks.append(
-            _check(
-                f"and2_of_table2:{i}",
-                {"correct": True, "max_queries": 4, "d_exact": 8, "ratio": "1/2"},
-                {
-                    "correct": report.correct,
-                    "max_queries": report.max_queries,
-                    "d_exact": report.d_exact,
-                    "ratio": str(report.ratio),
-                },
-            )
-        )
     return _finish("compose", checks)
 
 

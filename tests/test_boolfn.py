@@ -1,6 +1,7 @@
 """Truth tables, named fixtures and complexity measures."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from exactquery.boolfn import (
     complement_symmetric,
     complexity_report,
     compose_function,
+    compose_table,
     deterministic_complexity,
     enumerate_complement_symmetric_full_d,
     evaluate,
@@ -366,6 +368,51 @@ def test_compose_preserves_complement_symmetry():
         h = random_function(rng, rng.randint(1, 3))
         comp = compose_function(h, f3)
         assert complement_symmetric(comp)
+
+
+def _compose_reference(outer, inner, blocks):
+    """Brute-force composition: block j's inner value is bit k-1-j of the outer index."""
+    def fn(bits):
+        j = 0
+        for block in blocks:
+            j = (j << 1) | int(inner[int("".join(str(bits[v]) for v in block), 2)])
+        return int(outer[j])
+
+    return BooleanFunction.from_callable(sum(map(len, blocks)), fn).table()
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [(0, 1, 2, 3)],  # outer function on one variable
+        [(0,), (1,), (2,), (3,), (4,)],  # inner function on one variable
+        [(0, 1), (2, 3), (4, 5)],
+        [(5, 4), (3, 2), (1, 0)],  # reversed
+        [(0, 3), (4, 1), (2, 5)],  # interleaved
+    ],
+)
+def test_compose_table_matches_reference(blocks):
+    rng = np.random.default_rng(31 + len(blocks))
+    outer = rng.integers(0, 2, 1 << len(blocks)).astype(np.uint8)
+    inner = rng.integers(0, 2, 1 << len(blocks[0])).astype(np.uint8)
+    table = compose_table(outer, inner, blocks)
+    assert table.dtype == np.uint8 and table.flags.c_contiguous
+    assert np.array_equal(table, _compose_reference(outer, inner, blocks))
+
+
+def test_compose_table_builds_only_uint8_tables():
+    rng = np.random.default_rng(37)
+    outer = rng.integers(0, 2, 1 << 4).astype(np.uint8)
+    inner = rng.integers(0, 2, 1 << 5).astype(np.uint8)
+    blocks = [range(5 * j, 5 * j + 5) for j in range(4)]
+    tracemalloc.start()
+    try:
+        table = compose_table(outer, inner, blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.size == 1 << 20
+    assert peak < 1.5 * (1 << 20)  # one int64 index array alone is 8 bytes a cell
 
 
 def test_compose_size_overflow():

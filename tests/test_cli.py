@@ -153,6 +153,33 @@ def test_simulate_rejects_bad_file(tmp_path, capsys):
     assert code == 2
 
 
+def _a1_with_query_var(v):
+    data = qsim.algorithm_to_json_dict(qsim.a1())
+    data["layers"][1]["query"][0] = v  # x1 in a1's first query
+    return data
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {**qsim.algorithm_to_json_dict(qsim.a1()), "n": 3.7},
+        {**qsim.algorithm_to_json_dict(qsim.a1()), "n": "3"},
+        {**qsim.algorithm_to_json_dict(qsim.a1()), "outputs": "0001"},
+        {**qsim.algorithm_to_json_dict(qsim.a1()), "outputs": [False, False, False, True]},
+        _a1_with_query_var(1.9),
+        _a1_with_query_var("1"),
+    ],
+    ids=["n-float", "n-string", "outputs-string", "outputs-bools", "var-float", "var-string"],
+)
+def test_simulate_rejects_non_integer_algorithm_fields(tmp_path, capsys, data):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["simulate", "--alg", str(path), "--input", "011"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "malformed algorithm JSON" in captured.err
+
+
 def test_simulate_rejects_json_numbers_in_exact_mode(tmp_path, capsys):
     path = tmp_path / "alg.json"
     path.write_text(json.dumps({"dim": 2, "n": 1, "layers": [

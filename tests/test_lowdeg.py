@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from exactquery.boolfn import BooleanFunction, InputAssignment, hamming_weight
+from exactquery import lowdeg
 from exactquery.lowdeg import (
+    Compose,
     GroupPartition,
     base_connection_graph,
     build_f3k,
@@ -302,6 +304,27 @@ def test_f12_certification():
     assert report.computed_degree == 6
     assert report.witness_sensitivity == 12
     assert report.status == "confirmed"
+
+
+_INNER3 = (0, 1, 0, 0, 0, 1, 1, 1)  # changes when its variables are reversed
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        Compose((1, 0, 1, 1), _INNER3, ((2, 1, 0), (5, 4, 3), (8, 7, 6))),
+        Compose((1, 0, 1, 1), _INNER3, ((0, 4, 8), (3, 7, 2), (6, 1, 5))),
+        Compose(
+            (0, 1, 1),
+            Compose((1, 0, 1), (0, 1, 0, 0), ((0, 2), (1, 3))),
+            ((3, 2, 1, 0), (7, 6, 5, 4)),
+        ),
+    ],
+    ids=["each-block-reversed", "interleaved", "nested"],
+)
+def test_compose_table_non_consecutive_blocks(f):
+    expected = [lowdeg._value_at(f, i) for i in range(1 << f.n)]
+    assert lowdeg._table(f).tolist() == expected
 
 
 def test_f12_table_matches_hand_composition():
