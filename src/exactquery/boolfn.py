@@ -361,7 +361,11 @@ def enumerate_complement_symmetric_full_d(n: int) -> list[BooleanFunction]:
 
 
 def compose_table(
-    outer: np.ndarray, inner: np.ndarray, blocks: Sequence[Sequence[int]]
+    outer: np.ndarray,
+    inner: np.ndarray,
+    blocks: Sequence[Sequence[int]],
+    start: int = 0,
+    stop: Optional[int] = None,
 ) -> np.ndarray:
     """uint8 truth table of an outer function of one inner function on disjoint blocks.
 
@@ -373,12 +377,28 @@ def compose_table(
     the block's 2^b entries, so only uint8 arrays are built.  The ``(2,)*n``
     result is then transposed to variable order; for consecutive blocks in
     order the transpose is the identity and copies nothing.
+
+    ``start`` and ``stop`` select the entries ``[start, stop)`` of the
+    table, a range of 2^m entries with ``start`` a multiple of 2^m; the
+    default is the whole table.  Such a range fixes the leading n - m
+    variables, so each block takes its inner table restricted to its fixed
+    variables, and only the 2^m entries are built.
     """
+    n = sum(len(block) for block in blocks)
+    stop = (1 << n) if stop is None else stop
+    m = (stop - start).bit_length() - 1
+    if not 0 <= start < stop <= 1 << n or stop - start != 1 << m or start % (1 << m):
+        raise ValueError(f"[{start}, {stop}) is not an aligned power-of-two range of 2^{n} entries")
     cube = outer.reshape((2,) * len(blocks))
-    for axis in range(len(blocks)):
-        cube = np.take(cube, inner, axis=axis)
-    axis_vars = [var for block in blocks for var in block]
-    cube = cube.reshape((2,) * len(axis_vars)).transpose(np.argsort(axis_vars))
+    inner = inner.reshape((2,) * len(blocks[0]))
+    free_vars = []
+    for axis, block in enumerate(blocks):
+        fixed = tuple(
+            slice(None) if var >= n - m else (start >> (n - 1 - var)) & 1 for var in block
+        )
+        cube = np.take(cube, inner[fixed].reshape(-1), axis=axis)
+        free_vars += [var for var in block if var >= n - m]
+    cube = cube.reshape((2,) * m).transpose(np.argsort(free_vars))
     return np.ascontiguousarray(cube).reshape(-1)
 
 

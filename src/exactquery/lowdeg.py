@@ -175,19 +175,22 @@ def _value_at(f: Union[tuple[int, ...], Compose], i: int) -> int:
     return f.outer[total]
 
 
-def _table(f: Union[tuple[int, ...], Compose]) -> np.ndarray:
-    """uint8 truth table of a truth table or a composition.
+def _table(
+    f: Union[tuple[int, ...], Compose], start: int = 0, stop: Optional[int] = None
+) -> np.ndarray:
+    """uint8 truth table of a truth table or a composition, or its entries
+    ``[start, stop)`` (an aligned power-of-two range for a composition).
 
     A composition's table comes from ``boolfn.compose_table``: the outer
     values by block-value count become a table over the k block values
     (the count is the popcount of its index; ``build_f3k`` and
-    ``iterate_triple`` keep k at most 15), and the inner table is built
-    the same way, recursively.
+    ``iterate_triple`` keep k at most 15), and the whole inner table is
+    built the same way, recursively.
     """
     if isinstance(f, tuple):
-        return np.array(f, dtype=np.uint8)
+        return np.array(f[start:stop], dtype=np.uint8)
     outer = np.array(f.outer, dtype=np.uint8)[polynomial._popcount16()[: 1 << len(f.blocks)]]
-    return compose_table(outer, _table(f.inner), f.blocks)
+    return compose_table(outer, _table(f.inner), f.blocks, start, stop)
 
 
 @dataclass(frozen=True)
@@ -213,10 +216,12 @@ class ConstructedFunction:
     def evaluate(self, x) -> int:
         return self.value_at(coerce_input(x, self.n).index)
 
-    def table(self) -> np.ndarray:
+    def table(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+        """The truth table, or its entries ``[start, stop)``: an aligned
+        power-of-two range when the structure is a composition."""
         if not self.has_table:
             raise ValueError(f"no truth table available for n={self.n}")
-        return _table(self.structure)
+        return _table(self.structure, start, stop)
 
     @property
     def has_table(self) -> bool:
@@ -395,13 +400,17 @@ def certify(cf: ConstructedFunction, mode: str = "auto") -> ConstructionReport:
     """Compare claimed degree and depth evidence against computed values.
 
     Modes: "exact" runs the integer subset transform of the truth table
-    (``polynomial.table_degree``, n up to ``boolfn.MAX_N``), "structural"
-    echoes the claims.  "auto" picks exact whenever a truth table exists.
+    (``polynomial.table_degree``, n up to ``boolfn.MAX_N``), which reads
+    the table one row block at a time from ``cf.table``, so the whole
+    table is never built; "structural" echoes the claims.  "auto" picks
+    exact whenever a truth table exists.
     """
     if mode == "auto":
         mode = "exact" if cf.has_table else "structural"
     if mode == "exact":
-        computed, degree_mode, reason = polynomial.table_degree(cf.table()), "exact", None
+        if not cf.has_table:
+            raise ValueError(f"no truth table available for n={cf.n}")
+        computed, degree_mode, reason = polynomial.table_degree(cf.table, cf.n), "exact", None
     elif mode == "structural":
         computed, degree_mode, reason = None, None, f"n={cf.n} exceeds brute-force scope"
     else:

@@ -14,7 +14,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -80,8 +80,15 @@ def evaluate_coefficients(coeffs: np.ndarray) -> np.ndarray:
     return _subset_transform(a, 1, _log2_size(a))
 
 
-def table_degree(table: np.ndarray) -> int:
+def table_degree(
+    table: Union[np.ndarray, Callable[[int, int], np.ndarray]], n: Optional[int] = None
+) -> int:
     """Degree of the representing polynomial of a 0/1 table of length 2^n.
+
+    ``table`` is the array or, with ``n`` given, a row source: a function
+    that returns the table's entries ``[start, stop)``.  Stage 1 asks it
+    for aligned power-of-two ranges in order, so a source that builds each
+    range (``ConstructedFunction.table``) never holds the whole table.
 
     Two cache-sized stages, without any 2^n-entry int32 array.  Index
     hi * 2^L + lo, L = min(n, 15), is row hi and column lo of one int16
@@ -89,17 +96,18 @@ def table_degree(table: np.ndarray) -> int:
     2 the high-bit passes in int32 on one column slab at a time, keeping the
     largest popcount(hi) + popcount(lo) over the slab's nonzero entries.
     """
-    table = np.asarray(table)
-    n = _log2_size(table)
+    if n is None:
+        array = np.asarray(table)
+        n, table = _log2_size(array), lambda start, stop: array[start:stop]
     low = min(n, _LOW_BITS)
     high = n - low
     width = 1 << low
     mid = np.empty((1 << high, width), dtype=np.int16)
-    block = min(_BLOCK, table.size)
+    block = min(_BLOCK, 1 << n)
     swap = min(low, _SWAP_BITS)
-    for start in range(0, table.size, block):
+    for start in range(0, 1 << n, block):
         seg = mid.reshape(-1)[start : start + block]
-        swapped = table[start : start + block].reshape(-1, 1 << swap).T.astype(np.int16, order="C")
+        swapped = table(start, start + block).reshape(-1, 1 << swap).T.astype(np.int16, order="C")
         _subset_transform(swapped, -1, swap, block >> swap)
         seg.reshape(-1, 1 << swap)[...] = swapped.T
         _subset_transform(seg, -1, low - swap, 1 << swap)

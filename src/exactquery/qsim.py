@@ -289,6 +289,8 @@ class QueryAlgorithm:
         self.layers = tuple(layers)
         self.outputs = tuple(int(o) for o in outputs)
         self.tolerance = tolerance
+        if dim < 1:
+            raise ValueError(f"dim must be at least 1, got {dim}")
         if len(self.outputs) != dim:
             raise ValueError("outputs must label every basis index")
         if any(o not in (0, 1) for o in self.outputs):
@@ -308,7 +310,8 @@ class QueryAlgorithm:
                     raise ValueError("query layer dimension mismatch")
                 for var in layer.assignment:
                     if var is not None and not 0 <= var < n:
-                        raise ValueError(f"query variable {var} out of range")
+                        # numbered from 1, as in the file format
+                        raise ValueError(f"query variable {var + 1} out of range 1..{n}")
             else:
                 raise TypeError(f"unsupported layer {layer!r}")
 

@@ -398,6 +398,21 @@ def test_compose_table_matches_reference(blocks):
     table = compose_table(outer, inner, blocks)
     assert table.dtype == np.uint8 and table.flags.c_contiguous
     assert np.array_equal(table, _compose_reference(outer, inner, blocks))
+    # every aligned range, from one entry up to the whole table
+    n = sum(map(len, blocks))
+    for m in range(n + 1):
+        for start in range(0, 1 << n, 1 << m):
+            part = compose_table(outer, inner, blocks, start, start + (1 << m))
+            assert part.flags.c_contiguous
+            assert np.array_equal(part, table[start : start + (1 << m)]), (m, start)
+
+
+@pytest.mark.parametrize("start, stop", [(0, 3), (2, 6), (4, 4), (-4, 0), (32, 96), (64, 128)])
+def test_compose_table_rejects_unaligned_ranges(start, stop):
+    outer = np.array([0, 1, 1, 0], dtype=np.uint8)
+    inner = np.array([0, 1, 1, 1, 1, 1, 1, 0], dtype=np.uint8)
+    with pytest.raises(ValueError, match="aligned power-of-two range"):
+        compose_table(outer, inner, [(0, 1, 2), (3, 4, 5)], start, stop)
 
 
 def test_compose_table_builds_only_uint8_tables():

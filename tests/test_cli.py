@@ -1,11 +1,16 @@
 """Command-line surface: JSON output, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from exactquery import boolfn, cli, lowdeg, qsim
 from exactquery.boolfn import BooleanFunction
+
+
+# stdout of `construct --family F --emit report`, byte for byte
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -180,6 +185,25 @@ def test_simulate_rejects_non_integer_algorithm_fields(tmp_path, capsys, data):
     assert "malformed algorithm JSON" in captured.err
 
 
+def test_simulate_rejects_zero_dimensional_algorithm(tmp_path, capsys):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"dim": 0, "n": 3, "layers": [], "outputs": []}))
+    assert cli.main(["simulate", "--alg", str(path), "--input", "011"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "dim must be at least 1, got 0" in captured.err
+
+
+@pytest.mark.parametrize("v", [0, 4])
+def test_simulate_names_query_variable_as_numbered_in_file(tmp_path, capsys, v):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(_a1_with_query_var(v)))
+    assert cli.main(["simulate", "--alg", str(path), "--input", "011"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"query variable {v} out of range 1..3" in captured.err
+
+
 def test_simulate_rejects_json_numbers_in_exact_mode(tmp_path, capsys):
     path = tmp_path / "alg.json"
     path.write_text(json.dumps({"dim": 2, "n": 1, "layers": [
@@ -320,6 +344,13 @@ def test_construct_f9_report(capsys):
     assert code == 0
     assert doc["status"] == "confirmed"
     assert doc["computed_degree"] == 4
+
+
+@pytest.mark.parametrize("family", ["f9", "f12", "f3k:5", "f3k:7"])
+def test_construct_report_stdout_is_golden(capsys, family):
+    golden = GOLDEN / f"construct-{family.replace(':', '-')}-report.json"
+    assert cli.main(["construct", "--family", family, "--emit", "report"]) == 0
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 def test_construct_f9_table(capsys):

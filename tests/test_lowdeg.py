@@ -1,6 +1,7 @@
 """Group partitions, pairings and the low-degree construction families."""
 
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from exactquery.boolfn import BooleanFunction, InputAssignment, hamming_weight
-from exactquery import lowdeg
+from exactquery import lowdeg, polynomial
 from exactquery.lowdeg import (
     Compose,
     GroupPartition,
@@ -30,7 +31,7 @@ from exactquery.lowdeg import (
     p4_eval,
     witness_sensitivity,
 )
-from exactquery.polynomial import degree_of
+from exactquery.polynomial import degree_of, fit_range_polynomial
 
 
 def random_partition(rng, max_size=6):
@@ -307,24 +308,58 @@ def test_f12_certification():
 
 
 _INNER3 = (0, 1, 0, 0, 0, 1, 1, 1)  # changes when its variables are reversed
+NON_CONSECUTIVE = {
+    "each-block-reversed": Compose((1, 0, 1, 1), _INNER3, ((2, 1, 0), (5, 4, 3), (8, 7, 6))),
+    "interleaved": Compose((1, 0, 1, 1), _INNER3, ((0, 4, 8), (3, 7, 2), (6, 1, 5))),
+    "nested": Compose(
+        (0, 1, 1),
+        Compose((1, 0, 1), (0, 1, 0, 0), ((0, 2), (1, 3))),
+        ((3, 2, 1, 0), (7, 6, 5, 4)),
+    ),
+}
 
 
-@pytest.mark.parametrize(
-    "f",
-    [
-        Compose((1, 0, 1, 1), _INNER3, ((2, 1, 0), (5, 4, 3), (8, 7, 6))),
-        Compose((1, 0, 1, 1), _INNER3, ((0, 4, 8), (3, 7, 2), (6, 1, 5))),
-        Compose(
-            (0, 1, 1),
-            Compose((1, 0, 1), (0, 1, 0, 0), ((0, 2), (1, 3))),
-            ((3, 2, 1, 0), (7, 6, 5, 4)),
-        ),
-    ],
-    ids=["each-block-reversed", "interleaved", "nested"],
-)
+@pytest.mark.parametrize("f", NON_CONSECUTIVE.values(), ids=NON_CONSECUTIVE.keys())
 def test_compose_table_non_consecutive_blocks(f):
     expected = [lowdeg._value_at(f, i) for i in range(1 << f.n)]
     assert lowdeg._table(f).tolist() == expected
+    for m in range(f.n + 1):
+        for start in range(0, 1 << f.n, 1 << m):
+            part = lowdeg._table(f, start, start + (1 << m))
+            assert part.tolist() == expected[start : start + (1 << m)]
+
+
+@pytest.mark.parametrize("build", [build_f9, build_f12, lambda: build_f3k(5), lambda: build_f3k(7)],
+                         ids=["f9", "f12", "f3k:5", "f3k:7"])
+def test_table_ranges_match_whole_table(build):
+    # ranges of 2^m entries, m = 0..n: every one of a size with at most
+    # 1024 of them, else 64 seeded ones
+    cf = build()
+    table = cf.table()
+    rng = np.random.default_rng(cf.n)
+    for m in range(cf.n + 1):
+        count = 1 << (cf.n - m)
+        starts = range(count) if count <= 1024 else rng.integers(0, count, 64)
+        for start in (int(s) << m for s in starts):
+            part = cf.table(start, start + (1 << m))
+            assert np.array_equal(part, table[start : start + (1 << m)]), (cf.family, m, start)
+
+
+def test_lemma3_table_ranges_match_whole_table():
+    # the row blocks certify reads (2^19 entries), then seeded ranges of
+    # every size up to 2^20
+    cf = build_lemma3(3, 1)
+    table = cf.table()
+    rng = np.random.default_rng(127)
+    for start in rng.integers(0, 1 << 8, 8):
+        start = int(start) << 19
+        part = cf.table(start, start + (1 << 19))
+        assert np.array_equal(part, table[start : start + (1 << 19)])
+    for m in range(21):
+        for start in rng.integers(0, 1 << (27 - m), 4):
+            start = int(start) << m
+            part = cf.table(start, start + (1 << m))
+            assert np.array_equal(part, table[start : start + (1 << m)])
 
 
 def test_f12_table_matches_hand_composition():
@@ -417,6 +452,55 @@ def test_lemma3_builder_flags_t1():
 def test_certify_auto_picks_exact_for_small():
     report = certify(build_f9())
     assert report.degree_mode == "exact"
+
+
+@pytest.mark.parametrize(
+    "cf",
+    [build_f9(), build_f12(), build_f3k(5)]
+    + [
+        replace(build_f9(), n=f.n, witness_input=(0,) * f.n, structure=f)
+        for f in NON_CONSECUTIVE.values()
+    ],
+    ids=["f9", "f12", "f3k:5", *NON_CONSECUTIVE],
+)
+def test_certify_streams_small_row_blocks(cf, monkeypatch):
+    expected = degree_of(BooleanFunction(cf.n, cf.table()))
+    # the block sizes of test_table_degree_matches_reference[shrunk]
+    monkeypatch.setattr(polynomial, "_LOW_BITS", 5)
+    monkeypatch.setattr(polynomial, "_BLOCK", 1 << 7)
+    monkeypatch.setattr(polynomial, "_SLAB", 1 << 13)
+    ranges = []
+    compose_table = lowdeg.compose_table
+
+    def recording(outer, inner, blocks, start=0, stop=None):
+        ranges.append((start, stop))
+        return compose_table(outer, inner, blocks, start, stop)
+
+    monkeypatch.setattr(lowdeg, "compose_table", recording)
+    report = certify(cf, mode="exact")
+    assert report.computed_degree == expected
+    # the composition is read one block at a time, in order, never whole
+    # (a nested composition's whole inner table is built for each block)
+    blocks = [r for r in ranges if r != (0, None)]
+    assert blocks == [(s, s + (1 << 7)) for s in range(0, 1 << cf.n, 1 << 7)]
+
+
+def test_certify_peak_memory_per_cell():
+    # V(NAE3, ..., NAE3) on eight position triangles, n = 24; V is 1 at 0 and 8
+    outer = (1,) + (0,) * 7 + (1,)
+    triangles = tuple((i, 8 + i, 16 + i) for i in range(8))
+    cf = replace(build_f3k(3), n=24, claimed_degree=2 * fit_range_polynomial(outer).degree,
+                 witness_input=(0,) * 24, structure=Compose(outer, lowdeg._NAE3, triangles))
+    tracemalloc.start()
+    try:
+        report = certify(cf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # deg(f o g) = deg(f) deg(g); the int16 stage-1 array alone is 2 bytes a
+    # cell, and the whole uint8 table would add 1 more
+    assert report.computed_degree == cf.claimed_degree == 16
+    assert peak < 2.5 * (1 << 24)
 
 
 def test_certify_mode_errors():
