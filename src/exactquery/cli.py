@@ -1,11 +1,12 @@
 """Command-line surface: one JSON document per invocation on stdout.
 
 Human-readable summaries go to stderr.  Exit status: 0 success / confirmed,
-1 verification failure or unconfirmed report, 2 usage or input error.
+1 verification failure or refuted report, 2 usage or input error.
 Environment knob: EXACTQUERY_DCAP (default exact-depth cap, overridden by
---dcap).  Truth tables, exact degree and certification run up to
-boolfn.MAX_N variables; polynomial emission stops at
-polynomial.INTERPOLATION_CAP.
+--dcap).  Truth tables and exact degree run up to boolfn.MAX_N variables;
+certification above that multiplies the degrees of a member's composition
+parts (--mode composition), up to lowdeg.MAX_ITERATED_N variables.
+Polynomial emission stops at polynomial.INTERPOLATION_CAP.
 """
 
 from __future__ import annotations
@@ -238,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="emit a constructed family member")
     p.add_argument("--family", required=True, help="f9 | f12 | f3k:K | lemma3:K,T")
     p.add_argument("--emit", choices=("table", "poly", "report"), default="report")
-    p.add_argument("--mode", choices=("auto", "exact", "structural"), default="auto")
+    p.add_argument("--mode", choices=("auto", "exact", "composition"), default="auto")
     p.set_defaults(handler=_cmd_construct)
 
     p = sub.add_parser("fit-collapser", help="fit or search range collapsers")

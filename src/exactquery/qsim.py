@@ -291,6 +291,8 @@ class QueryAlgorithm:
         self.tolerance = tolerance
         if dim < 1:
             raise ValueError(f"dim must be at least 1, got {dim}")
+        if n < 1:
+            raise ValueError(f"n must be at least 1, got {n}")
         if len(self.outputs) != dim:
             raise ValueError("outputs must label every basis index")
         if any(o not in (0, 1) for o in self.outputs):

@@ -8,7 +8,6 @@ so CLI output stays byte-identical across runs.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Callable, Optional
 
 from . import boolfn, compose, lowdeg, polynomial, qsim
@@ -266,22 +265,24 @@ def suite_example1() -> dict:
 
 
 def suite_lemma3(k: int, t: int) -> dict:
-    n, deg, ratio = lowdeg.lemma3_params(k, t)
+    cf = lowdeg.build_lemma3(k, t)  # first: it caps t before 3^(t+1) is computed
+    n, deg, _ = lowdeg.lemma3_params(k, t)
+    report = lowdeg.certify(cf, mode="composition")
     checks = [
-        _check("arity_formula", 3 ** (t + 1) * k, n),
-        _check("degree_formula", 2 ** (t + 1) * (k - 1), deg),
-        _check("ratio", str(Fraction(3 ** (t + 1) * k, 2 ** (t + 1) * (k - 1))), str(ratio)),
+        _check("arity", n, report.n),
+        _check("computed_degree", deg, report.computed_degree),
+        _check("witness_sensitivity", n, report.witness_sensitivity),
+        _check("status", "confirmed", report.status),
     ]
-    built = lowdeg.build_lemma3(k, t)
-    checks.append(_check("built_arity", n, built.n))
-    checks.append(_check("built_claimed_degree", deg, built.claimed_degree))
-    # iteration machinery agrees with the direct 12-variable construction
-    direct = lowdeg.build_f12().table()
-    iterated = lowdeg.iterate_triple(lowdeg.p4_base(), 1).table()
-    checks.append(
-        _check("triple_iteration_matches_direct_12var", True, bool((direct == iterated).all()))
-    )
-    return _finish(f"lemma3:{k},{t}", checks)
+    # the composition data the certificate multiplies out agrees with the
+    # 4-variable cubic collapsed by hand: S = 1,0,0,1 of its three block values
+    hand = [
+        (1, 0, 0, 1)[sum(lowdeg.p4_eval(bits[4 * b : 4 * b + 4]) for b in range(3))]
+        for bits in (InputAssignment.from_index(12, i).bits for i in range(1 << 12))
+    ]
+    iterated = lowdeg.iterate_triple(lowdeg.p4_base(), 1).table().tolist()
+    checks.append(_check("triple_iteration_matches_hand_composition", True, iterated == hand))
+    return _finish(f"lemma3:{k},{t}", checks, {"report": report.to_json_dict()})
 
 
 def suite_inequalities(count: int = 500, seed: int = DEFAULT_SEED) -> dict:

@@ -9,7 +9,7 @@ from exactquery import boolfn, cli, lowdeg, qsim
 from exactquery.boolfn import BooleanFunction
 
 
-# stdout of `construct --family F --emit report`, byte for byte
+# CLI stdout, byte for byte (`construct` reports, `verify` and `analyze`)
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -194,6 +194,16 @@ def test_simulate_rejects_zero_dimensional_algorithm(tmp_path, capsys):
     assert "dim must be at least 1, got 0" in captured.err
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_simulate_rejects_algorithm_without_variables(tmp_path, capsys, n):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"dim": 1, "n": n, "layers": [], "outputs": [1]}))
+    assert cli.main(["simulate", "--alg", str(path), "--input", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"n must be at least 1, got {n}" in captured.err
+
+
 @pytest.mark.parametrize("v", [0, 4])
 def test_simulate_names_query_variable_as_numbered_in_file(tmp_path, capsys, v):
     path = tmp_path / "alg.json"
@@ -353,6 +363,26 @@ def test_construct_report_stdout_is_golden(capsys, family):
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify --suite a1",
+        "verify --suite compose",
+        "verify --suite lemma2:3",
+        "analyze builtin:F3",
+        "analyze builtin:G4",
+        "construct --family lemma3:3,1 --emit report",
+        "construct --family f3k:15 --emit report",
+        "construct --family lemma3:3,2 --emit report",
+    ],
+)
+def test_stdout_is_golden(capsys, argv):
+    # the golden file is named by the words that are not options
+    name = "-".join(w for w in argv.split() if not w.startswith("--")).replace(":", "-")
+    assert cli.main(argv.split()) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
 def test_construct_f9_table(capsys):
     code, doc = run(capsys, "construct", "--family", "f9", "--emit", "table")
     assert code == 0
@@ -368,11 +398,29 @@ def test_construct_f12_poly(capsys):
     assert max(degrees) == 6
 
 
-def test_construct_f45_report_not_confirmed(capsys):
+def test_construct_f45_report_confirmed(capsys):
     code, doc = run(capsys, "construct", "--family", "f3k:15", "--emit", "report")
-    assert code == 1
-    assert doc["computed_degree"] is None
-    assert doc["status"] == "unverified"
+    assert code == 0
+    assert doc["computed_degree"] == 28
+    assert doc["status"] == "confirmed"
+
+
+def test_construct_structural_mode_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["construct", "--family", "f3k:15", "--mode", "structural"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv", [["construct", "--family", "lemma3:3,6"], ["verify", "--suite", "lemma3:5,1000000000"]]
+)
+def test_lemma3_arity_cap_is_usage_error(capsys, argv):
+    # lemma3:3,6 has 6561 variables; the cap is lemma3:15,4 (3645)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "triple iterations exceed the cap of n=3645 variables" in captured.err
 
 
 def test_construct_unknown_family(capsys):
@@ -452,9 +500,9 @@ def test_dcap_env_variable(capsys, monkeypatch):
 def test_exact_cap_env_variable(capsys, monkeypatch):
     monkeypatch.setenv("EXACTQUERY_EXACT_CAP", "8")  # not a knob: nothing reads it
     code, doc = run(capsys, "construct", "--family", "f9", "--emit", "report",
-                    "--mode", "structural")
-    assert code == 1  # structural report on a 9-variable member is unverified
-    assert doc["computed_degree"] is None
+                    "--mode", "exact")
+    assert code == 0  # exact degree of the 9-variable member: the variable caps nothing
+    assert doc["computed_degree"] == 4
     code, doc = run(capsys, "construct", "--family", "f9", "--emit", "poly")
     assert code == 0 and doc["n"] == 9
 

@@ -268,16 +268,17 @@ def test_f3k_7_records_transcription_substitution():
     assert any("p(0) == p(1)" in note for note in cf.notes)
 
 
-def test_f45_structural_certification():
+def test_f45_composition_certification():
     cf = build_f3k(15)
     assert cf.n == 45
     assert cf.claimed_degree == 28
     assert cf.claimed_d == 45
-    report = certify(cf, mode="structural")
-    assert report.computed_degree is None
-    assert report.degree_reason == "n=45 exceeds brute-force scope"
+    report = certify(cf)
+    assert report.degree_mode == "composition"
+    assert report.computed_degree == 28
+    assert report.degree_reason == "product of part degrees 14 x 2"
     assert report.witness_sensitivity == 45
-    assert report.status == "unverified"
+    assert report.status == "confirmed"
     # pointwise evaluation still works at this size
     assert cf.value_at(0) == 1
     assert cf.value_at(1 << 44) == 0
@@ -445,6 +446,14 @@ def test_lemma3_builder_flags_t1():
     assert not any("t > 1" in note for note in build_lemma3(3, 2).notes)
 
 
+def test_lemma3_arity_cap():
+    assert build_lemma3(15, 4).n == lowdeg.MAX_ITERATED_N == 3645
+    assert build_lemma3(5, 5).n == 3645
+    for k, t in ((3, 6), (7, 5), (3, 10**9)):
+        with pytest.raises(ValueError, match="exceed the cap of n=3645 variables"):
+            build_lemma3(k, t)
+
+
 # ---------------------------------------------------------------------------
 # Certification modes
 # ---------------------------------------------------------------------------
@@ -520,6 +529,52 @@ def test_certify_refutes_wrong_claims():
         assert report.status == "refuted"
         assert report.computed_degree == 4
         assert report.notes == ()
+
+
+@pytest.mark.parametrize(
+    "cf, exact",
+    [
+        (build_f9(), None),
+        (build_f12(), None),
+        (build_f3k(5), None),
+        (build_f3k(7), None),
+        # 27 variables: verify --suite lemma2:9 and the slow acceptance probe
+        # run their exact transforms
+        (build_f3k(9), 16),
+        (build_lemma3(3, 1), 8),
+    ]
+    + [
+        (replace(build_f9(), n=f.n, witness_input=(0,) * f.n, structure=f), None)
+        for f in NON_CONSECUTIVE.values()
+    ],
+    ids=["f9", "f12", "f3k:5", "f3k:7", "f3k:9", "lemma3:3,1", *NON_CONSECUTIVE],
+)
+def test_composition_degree_equals_exact(cf, exact):
+    report = certify(cf, mode="composition")
+    if exact is None:
+        exact = certify(cf, mode="exact").computed_degree
+    assert report.degree_mode == "composition"
+    assert report.computed_degree == exact
+
+
+def test_composition_refutes_doctored_parts():
+    cf = build_f3k(5)  # V_5(NAE3, ..., NAE3), degree 4 x 2
+    for structure, degree in (
+        (replace(cf.structure, outer=(1, 0, 0, 1, 0, 1)), 10),
+        (replace(cf.structure, inner=(0,) * 7 + (1,)), 12),  # AND3
+    ):
+        doctored = replace(cf, structure=structure)
+        report = certify(doctored, mode="composition")
+        assert report.computed_degree == certify(doctored, mode="exact").computed_degree == degree
+        assert report.status == "refuted"
+
+
+def test_composition_degree_of_constant_inner_is_zero():
+    cf = build_f3k(5)
+    constant = replace(cf, structure=replace(cf.structure, inner=(1,) * 8))
+    assert lowdeg.composition_degrees(constant.structure) == [4, 0]
+    assert certify(constant, mode="composition").computed_degree == 0
+    assert certify(constant, mode="exact").computed_degree == 0
 
 
 def test_report_json_shape():
