@@ -2,18 +2,17 @@
 
 Human-readable summaries go to stderr.  Exit status: 0 success / confirmed,
 1 verification failure or refuted report, 2 usage or input error.
-Environment knob: EXACTQUERY_DCAP (default exact-depth cap, overridden by
---dcap).  Truth tables and exact degree run up to boolfn.MAX_N variables;
-certification above that multiplies the degrees of a member's composition
-parts (--mode composition), up to lowdeg.MAX_ITERATED_N variables.
-Polynomial emission stops at polynomial.INTERPOLATION_CAP.
+Every ValueError a command raises is a usage or input error: main prints
+it and exits 2.  Truth tables and exact degree run up to boolfn.MAX_N
+variables; certification above that multiplies the degrees of a member's
+composition parts (--mode composition), up to lowdeg.MAX_ITERATED_N
+variables.  Polynomial emission stops at polynomial.INTERPOLATION_CAP.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -33,18 +32,13 @@ def _info(message: str) -> None:
     sys.stderr.write(message + "\n")
 
 
-def _dcap(flag: Optional[int]) -> int:
-    """The exact-depth cap: --dcap, else EXACTQUERY_DCAP, else the default."""
-    if flag is not None:
-        source, raw = "--dcap", flag
-    else:
-        source, raw = "EXACTQUERY_DCAP", os.environ.get("EXACTQUERY_DCAP", boolfn.DEFAULT_DCAP)
+def _nonnegative_int(text: str) -> int:
     try:
-        value = int(raw)
+        value = int(text)
     except ValueError:
         value = -1
     if value < 0:
-        raise ValueError(f"{source}={raw!r} is not a nonnegative integer")
+        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
     return value
 
 
@@ -80,12 +74,8 @@ def _load_algorithm(spec: str, tolerance: float) -> qsim.QueryAlgorithm:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        f = _load_function(args.fn)
-        report = boolfn.complexity_report(f, dcap=_dcap(args.dcap))
-    except ValueError as exc:
-        _info(str(exc))
-        return EXIT_USAGE
+    f = _load_function(args.fn)
+    report = boolfn.complexity_report(f, dcap=args.dcap)
     _emit(report.to_json_dict())
     _info(f"analyzed n={f.n} function: sensitivity {report.sensitivity}, degree {report.degree}")
     return EXIT_OK
@@ -93,12 +83,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     tolerance = qsim.FLOAT_TOLERANCE if args.float else 0
-    try:
-        alg = _load_algorithm(args.alg, tolerance)
-        x = boolfn.coerce_input(args.input, alg.n)
-    except ValueError as exc:
-        _info(str(exc))
-        return EXIT_USAGE
+    alg = _load_algorithm(args.alg, tolerance)
+    x = boolfn.coerce_input(args.input, alg.n)
     final = qsim.simulate(alg, x, trace=args.trace)
     show = float if args.float else str
     out = {
@@ -121,15 +107,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         report = suites.run_suite(args.suite, count=args.count, seed=args.seed)
     except suites.UnknownSuite as exc:
-        _info(f"unknown suite: {exc}")
-        return EXIT_USAGE
+        raise ValueError(f"unknown suite: {exc}") from None
     except ValueError as exc:
-        _info(f"suite {args.suite}: {exc}")
-        return EXIT_USAGE
+        raise ValueError(f"suite {args.suite}: {exc}") from None
     _emit(report)
     passed = report["passed"]
     _info(f"suite {args.suite}: {'pass' if passed else 'FAIL'}")
     return EXIT_OK if passed else EXIT_FAIL
+
+
+_FAMILIES = {"f3k": ("f3k:K", lowdeg.build_f3k), "lemma3": ("lemma3:K,T", lowdeg.build_lemma3)}
 
 
 def _parse_family(spec: str) -> lowdeg.ConstructedFunction:
@@ -137,78 +124,42 @@ def _parse_family(spec: str) -> lowdeg.ConstructedFunction:
         return lowdeg.build_f9()
     if spec == "f12":
         return lowdeg.build_f12()
-    if spec.startswith("f3k:"):
-        return lowdeg.build_f3k(int(spec[len("f3k:"):]))
-    if spec.startswith("lemma3:"):
-        k_str, _, t_str = spec[len("lemma3:"):].partition(",")
-        return lowdeg.build_lemma3(int(k_str), int(t_str))
-    raise ValueError(f"unknown family {spec!r}")
+    name, _, arg = spec.partition(":")
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown family {spec!r}")
+    usage, build = _FAMILIES[name]
+    return build(*suites.parse_params(usage, arg))
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    try:
-        cf = _parse_family(args.family)
-    except ValueError as exc:
-        _info(str(exc))
-        return EXIT_USAGE
-    if args.emit == "poly" and cf.n > polynomial.INTERPOLATION_CAP:
-        _info(f"polynomial emission capped at n={polynomial.INTERPOLATION_CAP}; n={cf.n}")
-        return EXIT_USAGE
-    try:
-        if args.emit == "table":
-            _emit(cf.to_boolean_function().to_json_dict())
-            return EXIT_OK
-        if args.emit == "poly":
-            _emit(polynomial.interpolate(cf.to_boolean_function()).to_json_dict())
-            return EXIT_OK
+    if args.mode != "auto" and args.emit != "report":
+        raise ValueError(f"--mode {args.mode} applies only to --emit report")
+    cf = _parse_family(args.family)
+    if args.emit == "report":
         report = lowdeg.certify(cf, mode=args.mode)
-    except ValueError as exc:
-        _info(str(exc))
-        return EXIT_USAGE
-    _emit(report.to_json_dict())
-    _info(f"family {args.family}: status {report.status}")
-    return EXIT_OK if report.status == "confirmed" else EXIT_FAIL
+        _emit(report.to_json_dict())
+        _info(f"family {args.family}: status {report.status}")
+        return EXIT_OK if report.status == "confirmed" else EXIT_FAIL
+    if args.emit == "poly" and cf.n > polynomial.INTERPOLATION_CAP:
+        raise ValueError(f"polynomial emission capped at n={polynomial.INTERPOLATION_CAP}; n={cf.n}")
+    f = cf.to_boolean_function()
+    _emit(f.to_json_dict() if args.emit == "table" else polynomial.interpolate(f).to_json_dict())
+    return EXIT_OK
 
 
 def _cmd_fit_collapser(args: argparse.Namespace) -> int:
     if args.published_k7:
         poly = polynomial.published_k7_collapser()
-        report = polynomial.collapser_transcription_report(poly, 7)
-        out = {"transcription": report, "polynomial": poly.to_json_dict()}
-        _emit(out)
-        return EXIT_OK
-    if args.k is not None:
-        try:
-            values, poly = polynomial.find_collapser(args.k)
-        except ValueError as exc:
-            _info(str(exc))
-            return EXIT_USAGE
-        _emit(
-            {
-                "k": args.k,
-                "values": list(values),
-                "degree": poly.degree,
-                "polynomial": poly.to_json_dict(),
-            }
-        )
-        return EXIT_OK
-    if args.values:
-        try:
-            values = [int(v) for v in args.values.split(",")]
-            poly = polynomial.fit_range_polynomial(values)
-        except (ValueError, ZeroDivisionError) as exc:
-            _info(str(exc))
-            return EXIT_USAGE
-        _emit(
-            {
-                "values": values,
-                "degree": poly.degree,
-                "polynomial": poly.to_json_dict(),
-            }
-        )
-        return EXIT_OK
-    _info("fit-collapser requires --values, --k or --published-k7")
-    return EXIT_USAGE
+        out = {"transcription": polynomial.collapser_transcription_report(poly, 7)}
+    elif args.k is not None:
+        values, poly = polynomial.find_collapser(args.k)
+        out = {"k": args.k, "values": list(values), "degree": poly.degree}
+    else:
+        values = [int(v) for v in args.values.split(",")]
+        poly = polynomial.fit_range_polynomial(values)
+        out = {"values": values, "degree": poly.degree}
+    _emit({**out, "polynomial": poly.to_json_dict()})
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -220,7 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="complexity report for a truth table")
     p.add_argument("fn", help="truth-table JSON path or builtin:NAME")
-    p.add_argument("--dcap", type=int, default=None, help="exact-depth cap")
+    p.add_argument("--dcap", type=_nonnegative_int, default=boolfn.DEFAULT_DCAP,
+                   help="exact-depth cap")
     p.set_defaults(handler=_cmd_analyze)
 
     p = sub.add_parser("simulate", help="run an algorithm on one input")
@@ -243,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_construct)
 
     p = sub.add_parser("fit-collapser", help="fit or search range collapsers")
-    mode = p.add_mutually_exclusive_group()
+    mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--values", help="comma-separated sample values at 0..k")
     mode.add_argument("--k", type=int, help="search the canonical collapser for odd k")
     mode.add_argument("--published-k7", action="store_true", dest="published_k7",
@@ -253,9 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.handler(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.handler(args)
+    except ValueError as exc:
+        _info(str(exc))
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -206,7 +206,6 @@ class ConstructedFunction:
     family: str
     params: dict
     claimed_degree: int
-    claimed_d: int
     witness_input: tuple[int, ...]
     structure: Union[tuple[int, ...], Compose] = field(repr=False)
     notes: tuple[str, ...] = ()
@@ -241,10 +240,8 @@ def build_f3k(k: int) -> ConstructedFunction:
     V_k of the range {0..k} is 1 exactly at 0 and k; the function is fully
     sensitive at the all-zero input.
     """
-    if k % 2 == 0 or not 3 <= k <= 15:
-        raise ValueError(f"k must be odd and in 3..15, got {k}")
+    values, _ = find_collapser(k)  # k must be odd and in 3..15
     n = 3 * k
-    values, _ = find_collapser(k)
     notes = []
     collapser_source = "search"
     if k == 7:
@@ -263,7 +260,6 @@ def build_f3k(k: int) -> ConstructedFunction:
         family="f3k",
         params={"k": k, "collapser": collapser_source, "collapser_values": list(values)},
         claimed_degree=2 * (k - 1),
-        claimed_d=n,
         witness_input=(0,) * n,
         structure=Compose(values, _NAE3, triangles),
         notes=tuple(notes),
@@ -295,7 +291,6 @@ def p4_base() -> ConstructedFunction:
         family="p4",
         params={},
         claimed_degree=3,
-        claimed_d=4,
         witness_input=(1, 1, 1, 1),
         structure=_P4_TABLE,
     )
@@ -317,7 +312,7 @@ def iterate_triple(base: ConstructedFunction, t: int) -> ConstructedFunction:
     than ``MAX_ITERATED_N`` variables is a ValueError.
     """
     if t < 1:
-        raise ValueError("need at least one iteration")
+        raise ValueError("t must be at least 1")
     current = base
     for _ in range(t):
         m = current.n
@@ -328,7 +323,6 @@ def iterate_triple(base: ConstructedFunction, t: int) -> ConstructedFunction:
             family="triple",
             params={"base": base.family, "base_params": dict(base.params), "t": t},
             claimed_degree=2 * current.claimed_degree,
-            claimed_d=3 * current.claimed_d,
             witness_input=current.witness_input * 3,
             structure=Compose(
                 _S_VALUES, current.structure, tuple(tuple(range(b * m, b * m + m)) for b in range(3))
@@ -349,8 +343,6 @@ def build_f9() -> ConstructedFunction:
 
 def build_lemma3(k: int, t: int) -> ConstructedFunction:
     """Triple-iteration over the 3k-variable family member."""
-    if t < 1:
-        raise ValueError("t must be at least 1")
     cf = iterate_triple(build_f3k(k), t)
     notes = cf.notes
     if t == 1:
@@ -448,7 +440,7 @@ def certify(cf: ConstructedFunction, mode: str = "auto") -> ConstructionReport:
         computed_degree=computed,
         degree_mode=mode,
         degree_reason=reason,
-        claimed_d=cf.claimed_d,
+        claimed_d=cf.n,
         witness_input="".join(str(b) for b in cf.witness_input),
         witness_sensitivity=ws,
         qe_lower=(computed + 1) // 2,

@@ -115,9 +115,6 @@ class ExactScalar:
     def is_zero(self) -> bool:
         return self.an == 0 and self.bn == 0
 
-    def is_rational(self) -> bool:
-        return self.bn == 0
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ExactScalar)
@@ -172,13 +169,12 @@ def parse_scalar(text: str) -> ExactScalar:
     m = _SCALAR_RE.match(text)
     if not m or (m.group("rat") is None and m.group("root") is None):
         raise ValueError(f"cannot parse exact scalar {text!r}")
-    a = Fraction(m.group("rat")) if m.group("rat") else Fraction(0)
-    b = Fraction(0)
-    if m.group("root") is not None:
-        b = Fraction(m.group("root"))
-        if m.group("sign") == "-":
-            b = -b
-    return ExactScalar.of(a, b)
+    try:
+        a = Fraction(m.group("rat")) if m.group("rat") else Fraction(0)
+        b = Fraction(m.group("root")) if m.group("root") is not None else Fraction(0)
+    except ZeroDivisionError:
+        raise ValueError(f"cannot parse exact scalar {text!r}") from None
+    return ExactScalar.of(a, -b if m.group("sign") == "-" else b)
 
 
 class UnitaryMatrix:
@@ -451,21 +447,23 @@ def relabel_outputs(alg: QueryAlgorithm, f: BooleanFunction) -> QueryAlgorithm:
 # Builtin algorithms
 # ---------------------------------------------------------------------------
 
+# H x H on the two-qubit register, the first and last layer of a1 and a2
+_HH = UnitaryMatrix(
+    [
+        [HALF, HALF, HALF, HALF],
+        [HALF, -HALF, HALF, -HALF],
+        [HALF, HALF, -HALF, -HALF],
+        [HALF, -HALF, -HALF, HALF],
+    ]
+)
+
+
 def a1() -> QueryAlgorithm:
     """Two-query, four-amplitude algorithm computing the builtin F3.
 
-    Layer sequence U0, Q(x1,x2,x1,x2), U1, Q(x3,x1,x2,x3), U1, U0; outputs
+    Layer sequence H x H, Q(x1,x2,x1,x2), U1, Q(x3,x1,x2,x3), U1, H x H; outputs
     label index 3 with 1 (inputs 001 and 110 land there) and the rest with 0.
     """
-    h = HALF
-    u0 = UnitaryMatrix(
-        [
-            [h, h, h, h],
-            [h, -h, h, -h],
-            [h, h, -h, -h],
-            [h, -h, -h, h],
-        ]
-    )
     r = INV_SQRT2
     u1 = UnitaryMatrix(
         [
@@ -477,7 +475,7 @@ def a1() -> QueryAlgorithm:
     )
     q1 = QueryLayer(4, (0, 1, 0, 1))
     q2 = QueryLayer(4, (2, 0, 1, 2))
-    return QueryAlgorithm(4, 3, (u0, q1, u1, q2, u1, u0), (0, 0, 0, 1))
+    return QueryAlgorithm(4, 3, (_HH, q1, u1, q2, u1, _HH), (0, 0, 0, 1))
 
 
 def a2() -> QueryAlgorithm:
@@ -488,18 +486,9 @@ def a2() -> QueryAlgorithm:
     The final basis index is (x1 xor x2, x3 xor x4), so labeling index 3 with
     1 computes the conjunction of the two parities.
     """
-    h = HALF
-    hh = UnitaryMatrix(
-        [
-            [h, h, h, h],
-            [h, -h, h, -h],
-            [h, h, -h, -h],
-            [h, -h, -h, h],
-        ]
-    )
     qa = QueryLayer(4, (0, 0, 1, 1))
     qb = QueryLayer(4, (2, 3, 2, 3))
-    return QueryAlgorithm(4, 4, (hh, qa, qb, hh), (0, 0, 0, 1))
+    return QueryAlgorithm(4, 4, (_HH, qa, qb, _HH), (0, 0, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -544,19 +533,19 @@ def algorithm_from_json_dict(data: dict, tolerance: float = 0) -> QueryAlgorithm
         )
     layers: list[Layer] = []
     for entry in raw_layers:
+        if ("unitary" in entry) == ("query" in entry):
+            raise ValueError(f"layer must be 'unitary' or 'query': {entry!r}")
         if "unitary" in entry:
             rows = entry["unitary"]
             if not all(isinstance(v, str) for row in rows for v in row):
                 raise ValueError('exact scalars must be JSON strings such as "1/2 r2"')
             layers.append(UnitaryMatrix.from_values(rows))
-        elif "query" in entry:
+        else:
             if any(v is not None and type(v) is not int for v in entry["query"]):
                 raise ValueError(
                     f"malformed algorithm JSON: query variables must be integers or null: {entry!r}"
                 )
             assignment = tuple(None if v is None else v - 1 for v in entry["query"])
             layers.append(QueryLayer(dim, assignment))
-        else:
-            raise ValueError(f"layer must be 'unitary' or 'query': {entry!r}")
     return QueryAlgorithm(dim, n, layers, outputs, tolerance)
 

@@ -339,6 +339,18 @@ _SAMPLED: dict[str, Callable[..., dict]] = {
 }
 
 
+def parse_params(usage: str, arg: str) -> list[int]:
+    """The integer parameters ``arg`` after the colon of a ``usage`` such as
+    "lemma3:K,T"; a ValueError names the usage when they do not fit it."""
+    try:
+        params = [int(p) for p in arg.split(",")]
+    except ValueError:
+        params = []
+    if len(params) != usage.count(",") + 1:
+        raise ValueError(f"expected {usage} with integer parameters")
+    return params
+
+
 def run_suite(spec: str, count: Optional[int] = None, seed: Optional[int] = None) -> dict:
     """Dispatch by suite name; parametric suites use name:args syntax.
 
@@ -356,12 +368,7 @@ def run_suite(spec: str, count: Optional[int] = None, seed: Optional[int] = None
         return _SAMPLED[name](**options)
     if name in _PARAMETRIC:
         usage, suite = _PARAMETRIC[name]
-        try:
-            params = [int(p) for p in arg.split(",")]
-        except ValueError:
-            params = []
-        if len(params) != usage.count(",") + 1:
-            raise ValueError(f"expected {usage} with integer parameters")
+        params = parse_params(usage, arg)
     elif name in _PLAIN and not arg:
         suite, params = _PLAIN[name], []
     else:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from exactquery import boolfn, cli, lowdeg, qsim
+from exactquery import cli, lowdeg, qsim
 from exactquery.boolfn import BooleanFunction
 
 
@@ -56,53 +56,6 @@ def test_analyze_dcap_suppresses_exact_depth(capsys):
     assert doc["d_lower"] == 4
 
 
-def test_analyze_malformed_file(tmp_path, capsys):
-    path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    code, _ = run(capsys, "analyze", str(path))
-    assert code == 2
-
-
-def test_analyze_rejects_nonzero_padding(tmp_path, capsys):
-    path = tmp_path / "padded.json"
-    path.write_text(json.dumps({"n": 2, "table_hex": "1f"}))
-    code, doc = run(capsys, "analyze", str(path))
-    assert code == 2
-    assert doc is None
-
-
-def test_analyze_depth_over_max_dcap_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setattr(boolfn, "MAX_DCAP", 3)
-    assert cli.main(["analyze", "builtin:G4", "--dcap", "20"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "capped at n=3" in captured.err
-
-
-def test_analyze_unknown_builtin(capsys):
-    code, _ = run(capsys, "analyze", "builtin:F5")
-    assert code == 2
-
-
-@pytest.mark.parametrize("n", ["3", True, 3.0])
-def test_analyze_rejects_non_integer_n(tmp_path, capsys, n):
-    path = tmp_path / "table.json"
-    path.write_text(json.dumps({"n": n, "table_hex": "00"}))
-    assert cli.main(["analyze", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "n must be an integer" in captured.err
-
-
-@pytest.mark.parametrize("spec", ["builtin:nope", "table1:9", "builtin:table2:0"])
-def test_analyze_unknown_builtin_names_valid_builtins(capsys, spec):
-    assert cli.main(["analyze", spec]) == 2
-    err = capsys.readouterr().err
-    assert f"unknown builtin function {spec.removeprefix('builtin:')!r}" in err
-    assert "F3, G4, table1:1..8, table2:1..8" in err
-    assert "Errno" not in err
-
-
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -130,11 +83,6 @@ def test_simulate_trace(capsys):
     assert doc["trace"][5]["amplitudes"] == ["0", "-1", "0", "0"]
 
 
-def test_simulate_arity_mismatch(capsys):
-    code, _ = run(capsys, "simulate", "--alg", "builtin:a1", "--input", "00")
-    assert code == 2
-
-
 def test_simulate_float_mode(capsys):
     code, doc = run(capsys, "simulate", "--alg", "builtin:a2", "--input", "0101", "--float")
     assert code == 0
@@ -150,114 +98,23 @@ def test_simulate_algorithm_from_file(tmp_path, capsys):
     assert doc["amplitudes"] == ["0", "-1", "0", "0"]
 
 
-def test_simulate_rejects_bad_file(tmp_path, capsys):
-    path = tmp_path / "alg.json"
-    path.write_text(json.dumps({"dim": 2, "n": 1, "layers": [
-        {"unitary": [["1", "1"], ["1", "1"]]}], "outputs": [0, 1]}))
-    code, _ = run(capsys, "simulate", "--alg", str(path), "--input", "0")
-    assert code == 2
-
-
-def _a1_with_query_var(v):
-    data = qsim.algorithm_to_json_dict(qsim.a1())
-    data["layers"][1]["query"][0] = v  # x1 in a1's first query
-    return data
-
-
-@pytest.mark.parametrize(
-    "data",
-    [
-        {**qsim.algorithm_to_json_dict(qsim.a1()), "n": 3.7},
-        {**qsim.algorithm_to_json_dict(qsim.a1()), "n": "3"},
-        {**qsim.algorithm_to_json_dict(qsim.a1()), "outputs": "0001"},
-        {**qsim.algorithm_to_json_dict(qsim.a1()), "outputs": [False, False, False, True]},
-        _a1_with_query_var(1.9),
-        _a1_with_query_var("1"),
-    ],
-    ids=["n-float", "n-string", "outputs-string", "outputs-bools", "var-float", "var-string"],
-)
-def test_simulate_rejects_non_integer_algorithm_fields(tmp_path, capsys, data):
-    path = tmp_path / "alg.json"
-    path.write_text(json.dumps(data))
-    assert cli.main(["simulate", "--alg", str(path), "--input", "011"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "malformed algorithm JSON" in captured.err
-
-
-def test_simulate_rejects_zero_dimensional_algorithm(tmp_path, capsys):
-    path = tmp_path / "alg.json"
-    path.write_text(json.dumps({"dim": 0, "n": 3, "layers": [], "outputs": []}))
-    assert cli.main(["simulate", "--alg", str(path), "--input", "011"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "dim must be at least 1, got 0" in captured.err
-
-
-@pytest.mark.parametrize("n", [0, -2])
-def test_simulate_rejects_algorithm_without_variables(tmp_path, capsys, n):
-    path = tmp_path / "alg.json"
-    path.write_text(json.dumps({"dim": 1, "n": n, "layers": [], "outputs": [1]}))
-    assert cli.main(["simulate", "--alg", str(path), "--input", ""]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"n must be at least 1, got {n}" in captured.err
-
-
-@pytest.mark.parametrize("v", [0, 4])
-def test_simulate_names_query_variable_as_numbered_in_file(tmp_path, capsys, v):
-    path = tmp_path / "alg.json"
-    path.write_text(json.dumps(_a1_with_query_var(v)))
-    assert cli.main(["simulate", "--alg", str(path), "--input", "011"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"query variable {v} out of range 1..3" in captured.err
-
-
-def test_simulate_rejects_json_numbers_in_exact_mode(tmp_path, capsys):
-    path = tmp_path / "alg.json"
-    path.write_text(json.dumps({"dim": 2, "n": 1, "layers": [
-        {"unitary": [[1.0, 0], [0, 1]]}], "outputs": [0, 1]}))
-    code, doc = run(capsys, "simulate", "--alg", str(path), "--input", "0")
-    assert code == 2
-    assert doc is None
-
-
-def _hadamard_test(tmp_path, entry):
+def _hadamard(entry):
     """H, a sign query on x1 for amplitude 0, H: the outcome is x1."""
     h = {"unitary": [[entry, entry], [entry, "-" + entry]]}
-    path = tmp_path / "hadamard.json"
-    path.write_text(json.dumps(
-        {"dim": 2, "n": 1, "layers": [h, {"query": [1, None]}, h], "outputs": [0, 1]}))
-    return str(path)
+    return {"dim": 2, "n": 1, "layers": [h, {"query": [1, None]}, h], "outputs": [0, 1]}
 
 
 @pytest.mark.parametrize("bit", ["0", "1"])
 def test_simulate_float_reads_decimal_entries(tmp_path, capsys, bit):
-    path = _hadamard_test(tmp_path, "0.7071067811865476")
-    code, doc = run(capsys, "simulate", "--alg", path, "--input", bit, "--float", "--trace")
+    path = tmp_path / "hadamard.json"
+    path.write_text(json.dumps(_hadamard("0.7071067811865476")))
+    code, doc = run(capsys, "simulate", "--alg", str(path), "--input", bit, "--float", "--trace")
     assert code == 0
     assert doc["mode"] == "float"
     assert doc["outcome"] == int(bit)
     assert abs(doc["probabilities"][bit] - 1.0) < 1e-9
     assert len(doc["trace"]) == 3
     assert all(isinstance(a, float) for a in doc["trace"][0]["amplitudes"])
-
-
-def test_simulate_exact_mode_refuses_decimal_hadamard(tmp_path, capsys):
-    path = _hadamard_test(tmp_path, "0.7071067811865476")
-    assert cli.main(["simulate", "--alg", path, "--input", "0"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "not exactly unitary" in captured.err
-
-
-def test_simulate_float_refuses_coarse_decimals(tmp_path, capsys):
-    path = _hadamard_test(tmp_path, "0.7071")
-    assert cli.main(["simulate", "--alg", path, "--input", "0", "--float"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "not unitary within 1e-09" in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -286,57 +143,6 @@ def test_verify_reduced_counts(capsys):
     assert code == 0 and doc["passed"]
     code, doc = run(capsys, "verify", "--suite", "inequalities", "--count", "20")
     assert code == 0 and doc["passed"]
-
-
-def test_verify_unknown_suite(capsys):
-    code, _ = run(capsys, "verify", "--suite", "nonsense")
-    assert code == 2
-
-
-@pytest.mark.parametrize(
-    "suite, message",
-    [
-        ("lemma3:3,0", "t must be at least 1"),
-        ("lemma2:11", "no truth table available for n=33"),
-        ("lemma2:x", "expected lemma2:K with integer parameters"),
-    ],
-)
-def test_verify_suite_parameter_errors_keep_their_message(capsys, suite, message):
-    assert cli.main(["verify", "--suite", suite]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert message in captured.err
-    assert "unknown suite" not in captured.err
-
-
-@pytest.mark.parametrize("suite", ["inequalities", "lemma1"])
-@pytest.mark.parametrize("count", ["-5", "0"])
-def test_verify_rejects_nonpositive_count(capsys, suite, count):
-    assert cli.main(["verify", "--suite", suite, "--count", count]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"count must be a positive integer, got {count}" in captured.err
-
-
-@pytest.mark.parametrize(
-    "argv, rejected",
-    [
-        (["--suite", "a1", "--count", "5"], "count"),
-        (["--suite", "lemma2:3", "--count", "7", "--seed", "3"], "count or seed"),
-        (["--suite", "table1", "--seed", "977"], "seed"),
-        (["--suite", "lemma3:3,1", "--seed", "1"], "seed"),
-    ],
-)
-def test_verify_fixed_suites_reject_count_and_seed(capsys, argv, rejected):
-    assert cli.main(["verify", *argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"suite {argv[1]}: takes no {rejected};")
-
-
-def test_verify_sampled_suites_take_no_parameters(capsys):
-    assert cli.main(["verify", "--suite", "lemma1:3"]) == 2
-    assert "unknown suite: 'lemma1:3'" in capsys.readouterr().err
 
 
 def test_verify_output_is_deterministic(capsys):
@@ -405,34 +211,6 @@ def test_construct_f45_report_confirmed(capsys):
     assert doc["status"] == "confirmed"
 
 
-def test_construct_structural_mode_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["construct", "--family", "f3k:15", "--mode", "structural"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
-
-
-@pytest.mark.parametrize(
-    "argv", [["construct", "--family", "lemma3:3,6"], ["verify", "--suite", "lemma3:5,1000000000"]]
-)
-def test_lemma3_arity_cap_is_usage_error(capsys, argv):
-    # lemma3:3,6 has 6561 variables; the cap is lemma3:15,4 (3645)
-    assert cli.main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "triple iterations exceed the cap of n=3645 variables" in captured.err
-
-
-def test_construct_unknown_family(capsys):
-    code, _ = run(capsys, "construct", "--family", "f11")
-    assert code == 2
-
-
-def test_construct_out_of_range(capsys):
-    code, _ = run(capsys, "construct", "--family", "f3k:2")
-    assert code == 2
-
-
 # ---------------------------------------------------------------------------
 # fit-collapser
 # ---------------------------------------------------------------------------
@@ -464,38 +242,9 @@ def test_fit_collapser_published_k7(capsys):
     assert rep["values"] == ["0", "0", "0", "1", "1", "0", "0", "0"]
 
 
-def test_fit_collapser_requires_an_input(capsys):
-    code, _ = run(capsys, "fit-collapser")
-    assert code == 2
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["--values", "1,0", "--k", "5"],
-        ["--k", "5", "--published-k7"],
-        ["--published-k7", "--values", "1,0,0,1"],
-    ],
-)
-def test_fit_collapser_modes_are_exclusive(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["fit-collapser", *argv])
-    captured = capsys.readouterr()
-    assert exc.value.code == 2
-    assert captured.out == ""
-    assert "not allowed with argument" in captured.err
-
-
 # ---------------------------------------------------------------------------
-# environment knobs
+# environment: no variable is read
 # ---------------------------------------------------------------------------
-
-def test_dcap_env_variable(capsys, monkeypatch):
-    monkeypatch.setenv("EXACTQUERY_DCAP", "2")
-    code, doc = run(capsys, "analyze", "builtin:G4")
-    assert code == 0
-    assert doc["d_exact"] is None
-
 
 def test_exact_cap_env_variable(capsys, monkeypatch):
     monkeypatch.setenv("EXACTQUERY_EXACT_CAP", "8")  # not a knob: nothing reads it
@@ -514,29 +263,149 @@ def test_exact_cap_env_variable(capsys, monkeypatch):
     assert code == 2  # 27 variables, over polynomial.INTERPOLATION_CAP
 
 
-@pytest.mark.parametrize("value", ["abc", "-1"])
-def test_dcap_env_variable_rejects_bad_values(capsys, monkeypatch, value):
-    monkeypatch.setenv("EXACTQUERY_DCAP", value)
-    code = cli.main(["analyze", "builtin:F3"])
+# ---------------------------------------------------------------------------
+# usage errors: every one exits 2 with a message and prints nothing on stdout
+# ---------------------------------------------------------------------------
+
+A1 = qsim.algorithm_to_json_dict(qsim.a1())
+
+
+def _a1_with_query_var(v):
+    data = qsim.algorithm_to_json_dict(qsim.a1())
+    data["layers"][1]["query"][0] = v  # x1 in a1's first query
+    return data
+
+
+def _one_layer(layer):
+    return {"dim": 2, "n": 1, "layers": [layer], "outputs": [0, 1]}
+
+
+def usage(name, argv, message, payload=None, code=2):
+    """A row: argv ("FILE" is the payload's path), the input file's payload
+    (a str is written as is, anything else as JSON), exit code and a
+    substring of stderr."""
+    return pytest.param(argv.split(), payload, code, message, id=name)
+
+
+ANALYZE_FILE = "analyze FILE"
+SIMULATE_FILE = "simulate --alg FILE --input 011"
+
+USAGE_ERRORS = [
+    usage("analyze-malformed-file", ANALYZE_FILE, "cannot load function", "{not json"),
+    usage("analyze-nonzero-padding", ANALYZE_FILE, "padding bits after the truth table must be zero",
+          {"n": 2, "table_hex": "1f"}),
+    *(usage(f"analyze-n-{kind}", ANALYZE_FILE, "n must be an integer", {"n": n, "table_hex": "00"})
+      for kind, n in (("string", "3"), ("bool", True), ("float", 3.0))),
+    usage("analyze-depth-over-max-dcap", "analyze FILE --dcap 18",
+          "exact depth needs 3**n states; capped at n=17, got n=18",
+          {"n": 18, "table_hex": "00" * (1 << 15)}),
+    *(usage(f"analyze-unknown-builtin-{spec}", f"analyze {spec}",
+            f"unknown builtin function {name!r}; builtins are F3, G4, table1:1..8, table2:1..8")
+      for spec, name in (("builtin:F5", "F5"), ("builtin:nope", "nope"), ("table1:9", "table1:9"),
+                         ("builtin:table2:0", "table2:0"))),
+    *(usage(f"analyze-dcap-{value}", f"analyze builtin:F3 --dcap {value}",
+            f"argument --dcap: {value!r} is not a nonnegative integer")
+      for value in ("-3", "abc")),
+    usage("simulate-arity-mismatch", "simulate --alg builtin:a1 --input 00",
+          "input has 2 bits, function takes 3"),
+    usage("simulate-not-unitary", "simulate --alg FILE --input 0", "not exactly unitary",
+          _one_layer({"unitary": [["1", "1"], ["1", "1"]]})),
+    *(usage(f"simulate-non-integer-{kind}", SIMULATE_FILE, "malformed algorithm JSON", data)
+      for kind, data in (
+          ("n-float", {**A1, "n": 3.7}),
+          ("n-string", {**A1, "n": "3"}),
+          ("outputs-string", {**A1, "outputs": "0001"}),
+          ("outputs-bools", {**A1, "outputs": [False, False, False, True]}),
+          ("var-float", _a1_with_query_var(1.9)),
+          ("var-string", _a1_with_query_var("1")),
+      )),
+    usage("simulate-zero-dim", SIMULATE_FILE, "dim must be at least 1, got 0",
+          {"dim": 0, "n": 3, "layers": [], "outputs": []}),
+    *(usage(f"simulate-n-{n}", "simulate --alg FILE --input=", f"n must be at least 1, got {n}",
+            {"dim": 1, "n": n, "layers": [], "outputs": [1]})
+      for n in (0, -2)),
+    *(usage(f"simulate-query-var-{v}", SIMULATE_FILE, f"query variable {v} out of range 1..3",
+            _a1_with_query_var(v))
+      for v in (0, 4)),
+    usage("simulate-json-number", "simulate --alg FILE --input 0",
+          'exact scalars must be JSON strings such as "1/2 r2"',
+          _one_layer({"unitary": [[1.0, 0], [0, 1]]})),
+    usage("simulate-decimal-hadamard-exact", "simulate --alg FILE --input 0",
+          "not exactly unitary", _hadamard("0.7071067811865476")),
+    usage("simulate-coarse-decimal-float", "simulate --alg FILE --input 0 --float",
+          "not unitary within 1e-09", _hadamard("0.7071")),
+    *(usage(f"simulate-zero-denominator-{kind}", "simulate --alg FILE --input 0",
+            f"cannot parse exact scalar {entry!r}",
+            _one_layer({"unitary": [[entry, "0"], ["0", "1"]]}))
+      for kind, entry in (("rational", "1/0"), ("root", "1 + 1/0 r2"))),
+    usage("simulate-unitary-and-query-layer", "simulate --alg FILE --input 0",
+          "layer must be 'unitary' or 'query'",
+          _one_layer({"unitary": [["1", "0"], ["0", "1"]], "query": [1, None]})),
+    usage("verify-unknown-suite", "verify --suite nonsense", "unknown suite: 'nonsense'; suites are"),
+    usage("verify-sampled-suite-with-parameter", "verify --suite lemma1:3",
+          "unknown suite: 'lemma1:3'"),
+    *(usage(f"verify-{spec}", f"verify --suite {spec}", f"suite {spec}: {message}")
+      for spec, message in (
+          ("lemma3:3,0", "t must be at least 1"),
+          ("lemma2:11", "no truth table available for n=33"),
+          ("lemma2:x", "expected lemma2:K with integer parameters"),
+          ("lemma3:5,1000000000", "1000000000 triple iterations exceed the cap of n=3645 variables"),
+      )),
+    *(usage(f"verify-{suite}-count-{count}", f"verify --suite {suite} --count {count}",
+            f"suite {suite}: count must be a positive integer, got {count}")
+      for suite in ("inequalities", "lemma1") for count in ("-5", "0")),
+    *(usage(f"verify-fixed-{argv.split()[1]}-{rejected.replace(' ', '-')}", f"verify {argv}",
+            f"suite {argv.split()[1]}: takes no {rejected};")
+      for argv, rejected in (
+          ("--suite a1 --count 5", "count"),
+          ("--suite lemma2:3 --count 7 --seed 3", "count or seed"),
+          ("--suite table1 --seed 977", "seed"),
+          ("--suite lemma3:3,1 --seed 1", "seed"),
+      )),
+    usage("construct-unknown-family", "construct --family f11", "unknown family 'f11'"),
+    usage("construct-f3k-out-of-range", "construct --family f3k:2",
+          "k must be odd and in 3..15, got 2"),
+    *(usage(f"construct-malformed-{spec}", f"construct --family {spec}",
+            f"expected {family} with integer parameters")
+      for spec, family in (("f3k:abc", "f3k:K"), ("lemma3:3", "lemma3:K,T"),
+                           ("lemma3:3,1,2", "lemma3:K,T"))),
+    # lemma3:3,6 has 6561 variables; the cap is lemma3:15,4 (3645)
+    usage("construct-lemma3-over-cap", "construct --family lemma3:3,6",
+          "triple iterations exceed the cap of n=3645 variables"),
+    usage("construct-poly-over-cap", "construct --family f3k:9 --emit poly",
+          "polynomial emission capped at n=24; n=27"),
+    *(usage(f"construct-mode-{mode}-emit-{emit}", f"construct --family f9 --mode {mode} --emit {emit}",
+            f"--mode {mode} applies only to --emit report")
+      for mode, emit in (("exact", "table"), ("composition", "poly"))),
+    usage("construct-structural-mode", "construct --family f3k:15 --mode structural",
+          "invalid choice: 'structural'"),
+    usage("construct-mode-mod-p", "construct --family f9 --mode mod-p", "invalid choice: 'mod-p'"),
+    *(usage(f"construct-mod-p-{p}", f"construct --family f9 --mod-p {p}",
+            f"unrecognized arguments: --mod-p {p}")
+      for p in ("2147483659", "1000000")),
+    usage("fit-collapser-no-mode", "fit-collapser",
+          "one of the arguments --values --k --published-k7 is required"),
+    *(usage(f"fit-collapser-{kind}", f"fit-collapser {argv}", "not allowed with argument")
+      for kind, argv in (
+          ("values-and-k", "--values 1,0 --k 5"),
+          ("k-and-published", "--k 5 --published-k7"),
+          ("published-and-values", "--published-k7 --values 1,0,0,1"),
+      )),
+    usage("fit-collapser-even-k", "fit-collapser --k 4", "k must be odd and in 3..15, got 4"),
+    usage("fit-collapser-one-value", "fit-collapser --values 1", "need at least two sample values"),
+]
+
+
+@pytest.mark.parametrize("argv, payload, code, message", USAGE_ERRORS)
+def test_usage_error(tmp_path, capsys, argv, payload, code, message):
+    if payload is not None:
+        path = tmp_path / "input.json"
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        argv = [str(path) if word == "FILE" else word for word in argv]
+    try:
+        returned = cli.main(argv)
+    except SystemExit as exc:  # argparse's own usage errors
+        returned = exc.code
     captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert "EXACTQUERY_DCAP" in captured.err
-
-
-def test_negative_dcap_flag_is_usage_error(capsys):
-    code = cli.main(["analyze", "builtin:F3", "--dcap", "-3"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert "--dcap" in captured.err
-
-
-@pytest.mark.parametrize(
-    "extra", [["--mod-p", "2147483659"], ["--mod-p", "1000000"], ["--mode", "mod-p"]]
-)
-def test_mod_p_options_are_usage_errors(capsys, extra):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["construct", "--family", "f9", *extra])
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    assert (returned, captured.out) == (code, "")
+    assert message in captured.err

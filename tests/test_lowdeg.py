@@ -216,7 +216,6 @@ def test_f3k_claims():
         cf = build_f3k(k)
         assert cf.n == n
         assert cf.claimed_degree == 2 * (k - 1)
-        assert cf.claimed_d == n
         assert cf.witness_input == (0,) * n
         assert cf.value_at(0) == 1
 
@@ -272,7 +271,6 @@ def test_f45_composition_certification():
     cf = build_f3k(15)
     assert cf.n == 45
     assert cf.claimed_degree == 28
-    assert cf.claimed_d == 45
     report = certify(cf)
     assert report.degree_mode == "composition"
     assert report.computed_degree == 28
@@ -393,7 +391,6 @@ def test_iterate_claims():
     once = iterate_triple(base, 1)
     assert once.n == 27
     assert once.claimed_degree == 8
-    assert once.claimed_d == 27
     twice = iterate_triple(base, 2)
     assert twice.n == 81
     assert twice.claimed_degree == 16

@@ -72,7 +72,7 @@ def test_scalar_strings():
 
 
 def test_scalar_parse_errors():
-    for bad in ("", "one", "1//2", "r2 1"):
+    for bad in ("", "one", "1//2", "r2 1", "1/0", "1 + 1/0 r2"):
         with pytest.raises(ValueError):
             parse_scalar(bad)
 
