@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from exactquery import cli, lowdeg, qsim
+from exactquery import boolfn, cli, lowdeg, qsim
 from exactquery.boolfn import BooleanFunction
 
 
@@ -280,60 +280,225 @@ def _one_layer(layer):
     return {"dim": 2, "n": 1, "layers": [layer], "outputs": [0, 1]}
 
 
-def usage(name, argv, message, payload=None, code=2):
-    """A row: argv ("FILE" is the payload's path), the input file's payload
-    (a str is written as is, anything else as JSON), exit code and a
-    substring of stderr."""
-    return pytest.param(argv.split(), payload, code, message, id=name)
+def usage_error(tmp_path, capsys, argv, message, payload=None, code=2):
+    """Run argv (a str is split on spaces; "FILE" is the payload's path, and a
+    str payload is written as is, anything else as JSON), check the exit code,
+    empty stdout and a substring of stderr, and return stderr. A returned code
+    and argparse's own SystemExit count alike."""
+    argv = argv.split() if isinstance(argv, str) else list(argv)
+    if payload is not None:
+        path = tmp_path / "input.json"
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        argv = [str(path) if word == "FILE" else word for word in argv]
+    try:
+        returned = cli.main(argv)
+    except SystemExit as exc:
+        returned = exc.code
+    captured = capsys.readouterr()
+    assert (returned, captured.out) == (code, "")
+    assert message in captured.err
+    return captured.err
 
 
 ANALYZE_FILE = "analyze FILE"
 SIMULATE_FILE = "simulate --alg FILE --input 011"
+BUILTINS = "builtins are F3, G4, table1:1..8, table2:1..8"
+
+
+def test_analyze_malformed_file(tmp_path, capsys):
+    usage_error(tmp_path, capsys, ANALYZE_FILE, "cannot load function", "{not json")
+
+
+def test_analyze_rejects_nonzero_padding(tmp_path, capsys):
+    usage_error(tmp_path, capsys, ANALYZE_FILE, "padding bits after the truth table must be zero",
+                {"n": 2, "table_hex": "1f"})
+
+
+def test_analyze_depth_over_max_dcap_is_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(boolfn, "MAX_DCAP", 3)
+    usage_error(tmp_path, capsys, "analyze builtin:G4 --dcap 20",
+                "exact depth needs 3**n states; capped at n=3, got n=4")
+
+
+def test_analyze_unknown_builtin(tmp_path, capsys):
+    usage_error(tmp_path, capsys, "analyze builtin:F5", f"unknown builtin function 'F5'; {BUILTINS}")
+
+
+@pytest.mark.parametrize("n", ["3", True, 3.0])
+def test_analyze_rejects_non_integer_n(tmp_path, capsys, n):
+    usage_error(tmp_path, capsys, ANALYZE_FILE, "n must be an integer", {"n": n, "table_hex": "00"})
+
+
+@pytest.mark.parametrize("spec", ["builtin:nope", "table1:9", "builtin:table2:0"])
+def test_analyze_unknown_builtin_names_valid_builtins(tmp_path, capsys, spec):
+    err = usage_error(tmp_path, capsys, f"analyze {spec}",
+                      f"unknown builtin function {spec.removeprefix('builtin:')!r}; {BUILTINS}")
+    assert "Errno" not in err
+
+
+def test_negative_dcap_flag_is_usage_error(tmp_path, capsys):
+    usage_error(tmp_path, capsys, "analyze builtin:F3 --dcap -3",
+                "argument --dcap: '-3' is not a nonnegative integer")
+
+
+def test_simulate_arity_mismatch(tmp_path, capsys):
+    usage_error(tmp_path, capsys, "simulate --alg builtin:a1 --input 00",
+                "input has 2 bits, function takes 3")
+
+
+def test_simulate_rejects_bad_file(tmp_path, capsys):
+    usage_error(tmp_path, capsys, "simulate --alg FILE --input 0", "not exactly unitary",
+                _one_layer({"unitary": [["1", "1"], ["1", "1"]]}))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {**A1, "n": 3.7},
+        {**A1, "n": "3"},
+        {**A1, "outputs": "0001"},
+        {**A1, "outputs": [False, False, False, True]},
+        _a1_with_query_var(1.9),
+        _a1_with_query_var("1"),
+    ],
+    ids=["n-float", "n-string", "outputs-string", "outputs-bools", "var-float", "var-string"],
+)
+def test_simulate_rejects_non_integer_algorithm_fields(tmp_path, capsys, data):
+    usage_error(tmp_path, capsys, SIMULATE_FILE, "malformed algorithm JSON", data)
+
+
+def test_simulate_rejects_zero_dimensional_algorithm(tmp_path, capsys):
+    usage_error(tmp_path, capsys, SIMULATE_FILE, "dim must be at least 1, got 0",
+                {"dim": 0, "n": 3, "layers": [], "outputs": []})
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_simulate_rejects_algorithm_without_variables(tmp_path, capsys, n):
+    usage_error(tmp_path, capsys, "simulate --alg FILE --input=", f"n must be at least 1, got {n}",
+                {"dim": 1, "n": n, "layers": [], "outputs": [1]})
+
+
+@pytest.mark.parametrize("v", [0, 4])
+def test_simulate_names_query_variable_as_numbered_in_file(tmp_path, capsys, v):
+    usage_error(tmp_path, capsys, SIMULATE_FILE, f"query variable {v} out of range 1..3",
+                _a1_with_query_var(v))
+
+
+def test_simulate_rejects_json_numbers_in_exact_mode(tmp_path, capsys):
+    usage_error(tmp_path, capsys, "simulate --alg FILE --input 0",
+                'exact scalars must be JSON strings such as "1/2 r2"',
+                _one_layer({"unitary": [[1.0, 0], [0, 1]]}))
+
+
+def test_simulate_exact_mode_refuses_decimal_hadamard(tmp_path, capsys):
+    usage_error(tmp_path, capsys, "simulate --alg FILE --input 0", "not exactly unitary",
+                _hadamard("0.7071067811865476"))
+
+
+def test_simulate_float_refuses_coarse_decimals(tmp_path, capsys):
+    usage_error(tmp_path, capsys, "simulate --alg FILE --input 0 --float",
+                "not unitary within 1e-09", _hadamard("0.7071"))
+
+
+def test_verify_unknown_suite(tmp_path, capsys):
+    usage_error(tmp_path, capsys, "verify --suite nonsense", "unknown suite: 'nonsense'; suites are")
+
+
+@pytest.mark.parametrize(
+    "suite, message",
+    [
+        ("lemma3:3,0", "t must be at least 1"),
+        ("lemma2:11", "no truth table available for n=33"),
+        ("lemma2:x", "expected lemma2:K with integer parameters"),
+    ],
+)
+def test_verify_suite_parameter_errors_keep_their_message(tmp_path, capsys, suite, message):
+    err = usage_error(tmp_path, capsys, f"verify --suite {suite}", f"suite {suite}: {message}")
+    assert "unknown suite" not in err
+
+
+@pytest.mark.parametrize("suite", ["inequalities", "lemma1"])
+@pytest.mark.parametrize("count", ["-5", "0"])
+def test_verify_rejects_nonpositive_count(tmp_path, capsys, suite, count):
+    usage_error(tmp_path, capsys, f"verify --suite {suite} --count {count}",
+                f"suite {suite}: count must be a positive integer, got {count}")
+
+
+@pytest.mark.parametrize(
+    "argv, rejected",
+    [
+        (["--suite", "a1", "--count", "5"], "count"),
+        (["--suite", "lemma2:3", "--count", "7", "--seed", "3"], "count or seed"),
+        (["--suite", "table1", "--seed", "977"], "seed"),
+        (["--suite", "lemma3:3,1", "--seed", "1"], "seed"),
+    ],
+)
+def test_verify_fixed_suites_reject_count_and_seed(tmp_path, capsys, argv, rejected):
+    err = usage_error(tmp_path, capsys, ["verify", *argv], f"suite {argv[1]}: takes no {rejected};")
+    assert err.startswith(f"suite {argv[1]}: takes no {rejected};")
+
+
+def test_verify_sampled_suites_take_no_parameters(tmp_path, capsys):
+    usage_error(tmp_path, capsys, "verify --suite lemma1:3", "unknown suite: 'lemma1:3'")
+
+
+def test_construct_unknown_family(tmp_path, capsys):
+    usage_error(tmp_path, capsys, "construct --family f11", "unknown family 'f11'")
+
+
+def test_construct_out_of_range(tmp_path, capsys):
+    usage_error(tmp_path, capsys, "construct --family f3k:2", "k must be odd and in 3..15, got 2")
+
+
+def test_construct_structural_mode_is_usage_error(tmp_path, capsys):
+    usage_error(tmp_path, capsys, "construct --family f3k:15 --mode structural",
+                "invalid choice: 'structural'")
+
+
+@pytest.mark.parametrize(
+    "argv", [["construct", "--family", "lemma3:3,6"], ["verify", "--suite", "lemma3:5,1000000000"]]
+)
+def test_lemma3_arity_cap_is_usage_error(tmp_path, capsys, argv):
+    # lemma3:3,6 has 6561 variables; the cap is lemma3:15,4 (3645)
+    usage_error(tmp_path, capsys, argv, "triple iterations exceed the cap of n=3645 variables")
+
+
+@pytest.mark.parametrize(
+    "extra", [["--mod-p", "2147483659"], ["--mod-p", "1000000"], ["--mode", "mod-p"]]
+)
+def test_mod_p_options_are_usage_errors(tmp_path, capsys, extra):
+    message = "invalid choice: 'mod-p'" if extra[0] == "--mode" else f"unrecognized arguments: {' '.join(extra)}"
+    usage_error(tmp_path, capsys, ["construct", "--family", "f9", *extra], message)
+
+
+def test_fit_collapser_requires_an_input(tmp_path, capsys):
+    usage_error(tmp_path, capsys, "fit-collapser",
+                "one of the arguments --values --k --published-k7 is required")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--values", "1,0", "--k", "5"],
+        ["--k", "5", "--published-k7"],
+        ["--published-k7", "--values", "1,0,0,1"],
+    ],
+)
+def test_fit_collapser_modes_are_exclusive(tmp_path, capsys, argv):
+    usage_error(tmp_path, capsys, ["fit-collapser", *argv], "not allowed with argument")
+
+
+def usage(name, argv, message, payload=None, code=2):
+    """A row of usage_error's arguments."""
+    return pytest.param(argv, message, payload, code, id=name)
+
 
 USAGE_ERRORS = [
-    usage("analyze-malformed-file", ANALYZE_FILE, "cannot load function", "{not json"),
-    usage("analyze-nonzero-padding", ANALYZE_FILE, "padding bits after the truth table must be zero",
-          {"n": 2, "table_hex": "1f"}),
-    *(usage(f"analyze-n-{kind}", ANALYZE_FILE, "n must be an integer", {"n": n, "table_hex": "00"})
-      for kind, n in (("string", "3"), ("bool", True), ("float", 3.0))),
     usage("analyze-depth-over-max-dcap", "analyze FILE --dcap 18",
           "exact depth needs 3**n states; capped at n=17, got n=18",
           {"n": 18, "table_hex": "00" * (1 << 15)}),
-    *(usage(f"analyze-unknown-builtin-{spec}", f"analyze {spec}",
-            f"unknown builtin function {name!r}; builtins are F3, G4, table1:1..8, table2:1..8")
-      for spec, name in (("builtin:F5", "F5"), ("builtin:nope", "nope"), ("table1:9", "table1:9"),
-                         ("builtin:table2:0", "table2:0"))),
-    *(usage(f"analyze-dcap-{value}", f"analyze builtin:F3 --dcap {value}",
-            f"argument --dcap: {value!r} is not a nonnegative integer")
-      for value in ("-3", "abc")),
-    usage("simulate-arity-mismatch", "simulate --alg builtin:a1 --input 00",
-          "input has 2 bits, function takes 3"),
-    usage("simulate-not-unitary", "simulate --alg FILE --input 0", "not exactly unitary",
-          _one_layer({"unitary": [["1", "1"], ["1", "1"]]})),
-    *(usage(f"simulate-non-integer-{kind}", SIMULATE_FILE, "malformed algorithm JSON", data)
-      for kind, data in (
-          ("n-float", {**A1, "n": 3.7}),
-          ("n-string", {**A1, "n": "3"}),
-          ("outputs-string", {**A1, "outputs": "0001"}),
-          ("outputs-bools", {**A1, "outputs": [False, False, False, True]}),
-          ("var-float", _a1_with_query_var(1.9)),
-          ("var-string", _a1_with_query_var("1")),
-      )),
-    usage("simulate-zero-dim", SIMULATE_FILE, "dim must be at least 1, got 0",
-          {"dim": 0, "n": 3, "layers": [], "outputs": []}),
-    *(usage(f"simulate-n-{n}", "simulate --alg FILE --input=", f"n must be at least 1, got {n}",
-            {"dim": 1, "n": n, "layers": [], "outputs": [1]})
-      for n in (0, -2)),
-    *(usage(f"simulate-query-var-{v}", SIMULATE_FILE, f"query variable {v} out of range 1..3",
-            _a1_with_query_var(v))
-      for v in (0, 4)),
-    usage("simulate-json-number", "simulate --alg FILE --input 0",
-          'exact scalars must be JSON strings such as "1/2 r2"',
-          _one_layer({"unitary": [[1.0, 0], [0, 1]]})),
-    usage("simulate-decimal-hadamard-exact", "simulate --alg FILE --input 0",
-          "not exactly unitary", _hadamard("0.7071067811865476")),
-    usage("simulate-coarse-decimal-float", "simulate --alg FILE --input 0 --float",
-          "not unitary within 1e-09", _hadamard("0.7071")),
+    usage("analyze-dcap-abc", "analyze builtin:F3 --dcap abc",
+          "argument --dcap: 'abc' is not a nonnegative integer"),
     *(usage(f"simulate-zero-denominator-{kind}", "simulate --alg FILE --input 0",
             f"cannot parse exact scalar {entry!r}",
             _one_layer({"unitary": [[entry, "0"], ["0", "1"]]}))
@@ -341,71 +506,20 @@ USAGE_ERRORS = [
     usage("simulate-unitary-and-query-layer", "simulate --alg FILE --input 0",
           "layer must be 'unitary' or 'query'",
           _one_layer({"unitary": [["1", "0"], ["0", "1"]], "query": [1, None]})),
-    usage("verify-unknown-suite", "verify --suite nonsense", "unknown suite: 'nonsense'; suites are"),
-    usage("verify-sampled-suite-with-parameter", "verify --suite lemma1:3",
-          "unknown suite: 'lemma1:3'"),
-    *(usage(f"verify-{spec}", f"verify --suite {spec}", f"suite {spec}: {message}")
-      for spec, message in (
-          ("lemma3:3,0", "t must be at least 1"),
-          ("lemma2:11", "no truth table available for n=33"),
-          ("lemma2:x", "expected lemma2:K with integer parameters"),
-          ("lemma3:5,1000000000", "1000000000 triple iterations exceed the cap of n=3645 variables"),
-      )),
-    *(usage(f"verify-{suite}-count-{count}", f"verify --suite {suite} --count {count}",
-            f"suite {suite}: count must be a positive integer, got {count}")
-      for suite in ("inequalities", "lemma1") for count in ("-5", "0")),
-    *(usage(f"verify-fixed-{argv.split()[1]}-{rejected.replace(' ', '-')}", f"verify {argv}",
-            f"suite {argv.split()[1]}: takes no {rejected};")
-      for argv, rejected in (
-          ("--suite a1 --count 5", "count"),
-          ("--suite lemma2:3 --count 7 --seed 3", "count or seed"),
-          ("--suite table1 --seed 977", "seed"),
-          ("--suite lemma3:3,1 --seed 1", "seed"),
-      )),
-    usage("construct-unknown-family", "construct --family f11", "unknown family 'f11'"),
-    usage("construct-f3k-out-of-range", "construct --family f3k:2",
-          "k must be odd and in 3..15, got 2"),
     *(usage(f"construct-malformed-{spec}", f"construct --family {spec}",
             f"expected {family} with integer parameters")
       for spec, family in (("f3k:abc", "f3k:K"), ("lemma3:3", "lemma3:K,T"),
                            ("lemma3:3,1,2", "lemma3:K,T"))),
-    # lemma3:3,6 has 6561 variables; the cap is lemma3:15,4 (3645)
-    usage("construct-lemma3-over-cap", "construct --family lemma3:3,6",
-          "triple iterations exceed the cap of n=3645 variables"),
     usage("construct-poly-over-cap", "construct --family f3k:9 --emit poly",
           "polynomial emission capped at n=24; n=27"),
     *(usage(f"construct-mode-{mode}-emit-{emit}", f"construct --family f9 --mode {mode} --emit {emit}",
             f"--mode {mode} applies only to --emit report")
       for mode, emit in (("exact", "table"), ("composition", "poly"))),
-    usage("construct-structural-mode", "construct --family f3k:15 --mode structural",
-          "invalid choice: 'structural'"),
-    usage("construct-mode-mod-p", "construct --family f9 --mode mod-p", "invalid choice: 'mod-p'"),
-    *(usage(f"construct-mod-p-{p}", f"construct --family f9 --mod-p {p}",
-            f"unrecognized arguments: --mod-p {p}")
-      for p in ("2147483659", "1000000")),
-    usage("fit-collapser-no-mode", "fit-collapser",
-          "one of the arguments --values --k --published-k7 is required"),
-    *(usage(f"fit-collapser-{kind}", f"fit-collapser {argv}", "not allowed with argument")
-      for kind, argv in (
-          ("values-and-k", "--values 1,0 --k 5"),
-          ("k-and-published", "--k 5 --published-k7"),
-          ("published-and-values", "--published-k7 --values 1,0,0,1"),
-      )),
     usage("fit-collapser-even-k", "fit-collapser --k 4", "k must be odd and in 3..15, got 4"),
     usage("fit-collapser-one-value", "fit-collapser --values 1", "need at least two sample values"),
 ]
 
 
-@pytest.mark.parametrize("argv, payload, code, message", USAGE_ERRORS)
-def test_usage_error(tmp_path, capsys, argv, payload, code, message):
-    if payload is not None:
-        path = tmp_path / "input.json"
-        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
-        argv = [str(path) if word == "FILE" else word for word in argv]
-    try:
-        returned = cli.main(argv)
-    except SystemExit as exc:  # argparse's own usage errors
-        returned = exc.code
-    captured = capsys.readouterr()
-    assert (returned, captured.out) == (code, "")
-    assert message in captured.err
+@pytest.mark.parametrize("argv, message, payload, code", USAGE_ERRORS)
+def test_usage_error(tmp_path, capsys, argv, message, payload, code):
+    usage_error(tmp_path, capsys, argv, message, payload, code)
