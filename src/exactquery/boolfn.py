@@ -376,7 +376,10 @@ def compose_table(
     along each axis of the ``(2,)*k`` outer cube swaps that 2-wide axis for
     the block's 2^b entries, so only uint8 arrays are built.  The ``(2,)*n``
     result is then transposed to variable order; for consecutive blocks in
-    order the transpose is the identity and copies nothing.
+    order the transpose is the identity and copies nothing.  ``certify``
+    relies on that: it asks for its row blocks with every level's blocks
+    renumbered as consecutive ranges, a table of the same function with
+    its variables permuted, which has the same degree.
 
     ``start`` and ``stop`` select the entries ``[start, stop)`` of the
     table, a range of 2^m entries with ``start`` a multiple of 2^m; the

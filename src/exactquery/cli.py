@@ -42,6 +42,13 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of integers") from None
+
+
 def _load_function(spec: str) -> BooleanFunction:
     """builtin:NAME is a builtin only; a bare spec is a builtin, else a file."""
     if spec.startswith("builtin:"):
@@ -155,9 +162,8 @@ def _cmd_fit_collapser(args: argparse.Namespace) -> int:
         values, poly = polynomial.find_collapser(args.k)
         out = {"k": args.k, "values": list(values), "degree": poly.degree}
     else:
-        values = [int(v) for v in args.values.split(",")]
-        poly = polynomial.fit_range_polynomial(values)
-        out = {"values": values, "degree": poly.degree}
+        poly = polynomial.fit_range_polynomial(args.values)
+        out = {"values": args.values, "degree": poly.degree}
     _emit({**out, "polynomial": poly.to_json_dict()})
     return EXIT_OK
 
@@ -196,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-collapser", help="fit or search range collapsers")
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--values", help="comma-separated sample values at 0..k")
+    mode.add_argument("--values", type=_int_list, help="comma-separated sample values at 0..k")
     mode.add_argument("--k", type=int, help="search the canonical collapser for odd k")
     mode.add_argument("--published-k7", action="store_true", dest="published_k7",
                       help="evaluate the published k=7 transcription")

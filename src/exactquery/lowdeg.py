@@ -194,6 +194,21 @@ def _table(
     return compose_table(outer, _table(f.inner), f.blocks, start, stop)
 
 
+def _in_block_order(f: Union[tuple[int, ...], Compose]) -> Union[tuple[int, ...], Compose]:
+    """The same function with its variables renumbered so that every level's
+    blocks are consecutive ranges: block j of an m-variable inner function
+    becomes ``range(j*m, j*m+m)``, recursively.  Its table is the original
+    one with the variables permuted, built without ``compose_table``'s
+    transpose; the degree, and any other measure that ignores variable
+    order, is the same.
+    """
+    if isinstance(f, tuple):
+        return f
+    m = len(f.blocks[0])
+    blocks = tuple(tuple(range(j * m, j * m + m)) for j in range(len(f.blocks)))
+    return Compose(f.outer, _in_block_order(f.inner), blocks)
+
+
 @dataclass(frozen=True)
 class ConstructedFunction:
     """A family member: its definition as data plus claimed parameters.
@@ -414,17 +429,22 @@ def certify(cf: ConstructedFunction, mode: str = "auto") -> ConstructionReport:
 
     Modes: "exact" runs the integer subset transform of the truth table
     (``polynomial.table_degree``, n up to ``boolfn.MAX_N``), which reads
-    the table one row block at a time from ``cf.table``, so the whole
-    table is never built; "composition" multiplies the degrees of the
-    parts of ``cf.structure`` (``composition_degrees``), at any arity.
-    "auto" picks exact whenever a truth table exists, else composition.
+    the table one row block at a time, so the whole table is never built.
+    The blocks come from the structure in block order
+    (``_in_block_order``): a degree does not change when the variables are
+    permuted, and with consecutive blocks ``compose_table`` skips its
+    transpose to variable order.  The witness check keeps variable order.
+    "composition" multiplies the degrees of the parts of ``cf.structure``
+    (``composition_degrees``), at any arity.  "auto" picks exact whenever
+    a truth table exists, else composition.
     """
     if mode == "auto":
         mode = "exact" if cf.has_table else "composition"
     if mode == "exact":
         if not cf.has_table:
             raise ValueError(f"no truth table available for n={cf.n}")
-        computed, reason = polynomial.table_degree(cf.table, cf.n), None
+        ordered = replace(cf, structure=_in_block_order(cf.structure))
+        computed, reason = polynomial.table_degree(ordered.table, cf.n), None
     elif mode == "composition":
         parts = composition_degrees(cf.structure)
         computed, reason = prod(parts), f"product of part degrees {' x '.join(map(str, parts))}"

@@ -512,9 +512,12 @@ def algorithm_to_json_dict(alg: QueryAlgorithm) -> dict:
 def algorithm_from_json_dict(data: dict, tolerance: float = 0) -> QueryAlgorithm:
     """Decoder; variable numbers in query layers are 1-based.
 
-    Unitary entries must be strings (``parse_scalar``): a JSON number such as
-    ``0.7071`` is rejected.  ``tolerance`` is the unitarity tolerance; with 0
-    every matrix must be exactly unitary.
+    ``layers`` is a list of objects, each with a ``unitary`` (a list of
+    rows, each a list of strings) or a ``query`` (a list of integers or
+    null); a fault names its layer 1-based.  Unitary entries must be
+    strings (``parse_scalar``): a JSON number such as ``0.7071`` is
+    rejected.  ``tolerance`` is the unitarity tolerance; with 0 every
+    matrix must be exactly unitary.
     """
     try:
         dim, n = data["dim"], data["n"]
@@ -531,21 +534,34 @@ def algorithm_from_json_dict(data: dict, tolerance: float = 0) -> QueryAlgorithm
         raise ValueError(
             f"malformed algorithm JSON: outputs must be a list of integers, got {outputs!r}"
         )
+    if type(raw_layers) is not list:
+        raise ValueError(f"malformed algorithm JSON: layers must be a list of objects, got {raw_layers!r}")
     layers: list[Layer] = []
-    for entry in raw_layers:
+    for number, entry in enumerate(raw_layers, 1):
+        if type(entry) is not dict:
+            raise ValueError(
+                f"malformed algorithm JSON: layers must be a list of objects; layer {number} is {entry!r}"
+            )
         if ("unitary" in entry) == ("query" in entry):
             raise ValueError(f"layer must be 'unitary' or 'query': {entry!r}")
         if "unitary" in entry:
             rows = entry["unitary"]
+            if type(rows) is not list or any(type(row) is not list for row in rows):
+                raise ValueError(
+                    f"malformed algorithm JSON: layer {number}: unitary must be a list of rows, "
+                    f"each a list of strings, got {rows!r}"
+                )
             if not all(isinstance(v, str) for row in rows for v in row):
                 raise ValueError('exact scalars must be JSON strings such as "1/2 r2"')
             layers.append(UnitaryMatrix.from_values(rows))
         else:
-            if any(v is not None and type(v) is not int for v in entry["query"]):
+            query = entry["query"]
+            if type(query) is not list or any(v is not None and type(v) is not int for v in query):
                 raise ValueError(
-                    f"malformed algorithm JSON: query variables must be integers or null: {entry!r}"
+                    f"malformed algorithm JSON: layer {number}: query must be a list of "
+                    f"integers or null, got {query!r}"
                 )
-            assignment = tuple(None if v is None else v - 1 for v in entry["query"])
+            assignment = tuple(None if v is None else v - 1 for v in query)
             layers.append(QueryLayer(dim, assignment))
     return QueryAlgorithm(dim, n, layers, outputs, tolerance)
 

@@ -506,6 +506,19 @@ USAGE_ERRORS = [
     usage("simulate-unitary-and-query-layer", "simulate --alg FILE --input 0",
           "layer must be 'unitary' or 'query'",
           _one_layer({"unitary": [["1", "0"], ["0", "1"]], "query": [1, None]})),
+    *(usage(f"simulate-unitary-{kind}", "simulate --alg FILE --input 0",
+            "malformed algorithm JSON: layer 1: unitary must be a list of rows, each a list of strings",
+            _one_layer({"unitary": rows}))
+      for kind, rows in (("string-rows", ["10", "01"]), ("string", "10"))),
+    usage("simulate-layer-not-object", "simulate --alg FILE --input 0",
+          "malformed algorithm JSON: layers must be a list of objects; layer 1 is 5",
+          {"dim": 2, "n": 1, "layers": [5], "outputs": [0, 1]}),
+    usage("simulate-layers-not-list", "simulate --alg FILE --input 0",
+          "malformed algorithm JSON: layers must be a list of objects, got 5",
+          {"dim": 2, "n": 1, "layers": 5, "outputs": [0, 1]}),
+    usage("simulate-query-not-list", "simulate --alg FILE --input 0",
+          "malformed algorithm JSON: layer 1: query must be a list of integers or null, got 3",
+          _one_layer({"query": 3})),
     *(usage(f"construct-malformed-{spec}", f"construct --family {spec}",
             f"expected {family} with integer parameters")
       for spec, family in (("f3k:abc", "f3k:K"), ("lemma3:3", "lemma3:K,T"),
@@ -517,6 +530,9 @@ USAGE_ERRORS = [
       for mode, emit in (("exact", "table"), ("composition", "poly"))),
     usage("fit-collapser-even-k", "fit-collapser --k 4", "k must be odd and in 3..15, got 4"),
     usage("fit-collapser-one-value", "fit-collapser --values 1", "need at least two sample values"),
+    *(usage(f"fit-collapser-values-{name}", ["fit-collapser", "--values", values],
+            f"argument --values: {values!r} is not a comma-separated list of integers")
+      for name, values in (("1,x", "1,x"), ("empty", ""))),
 ]
 
 

@@ -475,11 +475,12 @@ def test_certify_streams_small_row_blocks(cf, monkeypatch):
     monkeypatch.setattr(polynomial, "_LOW_BITS", 5)
     monkeypatch.setattr(polynomial, "_BLOCK", 1 << 7)
     monkeypatch.setattr(polynomial, "_SLAB", 1 << 13)
-    ranges = []
+    ranges, layouts = [], set()
     compose_table = lowdeg.compose_table
 
     def recording(outer, inner, blocks, start=0, stop=None):
         ranges.append((start, stop))
+        layouts.add(tuple(map(tuple, blocks)))
         return compose_table(outer, inner, blocks, start, stop)
 
     monkeypatch.setattr(lowdeg, "compose_table", recording)
@@ -489,6 +490,47 @@ def test_certify_streams_small_row_blocks(cf, monkeypatch):
     # (a nested composition's whole inner table is built for each block)
     blocks = [r for r in ranges if r != (0, None)]
     assert blocks == [(s, s + (1 << 7)) for s in range(0, 1 << cf.n, 1 << 7)]
+    # every level is built in block order, so compose_table's transpose is
+    # the identity
+    for layout in layouts:
+        m = len(layout[0])
+        assert layout == tuple(tuple(range(j * m, j * m + m)) for j in range(len(layout)))
+
+
+def _block_order_variables(f):
+    """Original variable of each variable of lowdeg._in_block_order(f)."""
+    if isinstance(f, tuple):
+        return list(range(len(f).bit_length() - 1))
+    inner = _block_order_variables(f.inner)
+    return [block[v] for block in f.blocks for v in inner]
+
+
+@pytest.mark.parametrize(
+    "cf",
+    [build_f9(), build_f12(), build_f3k(5), build_f3k(7)]
+    + [
+        replace(build_f9(), n=f.n, witness_input=(0,) * f.n, structure=f)
+        for f in NON_CONSECUTIVE.values()
+    ],
+    ids=["f9", "f12", "f3k:5", "f3k:7", *NON_CONSECUTIVE],
+)
+def test_block_order_table_permutes_variables_and_keeps_degree(cf):
+    table = cf.table()
+    ordered = lowdeg._table(lowdeg._in_block_order(cf.structure))
+    # entry i of the block-order table is the entry of the variable-order
+    # table whose bits are i's bits moved to their original variables
+    idx = np.arange(1 << cf.n)
+    moved = np.zeros_like(idx)
+    for new, old in enumerate(_block_order_variables(cf.structure)):
+        moved |= ((idx >> (cf.n - 1 - new)) & 1) << (cf.n - 1 - old)
+    assert np.array_equal(ordered, table[moved])
+    if cf.structure in NON_CONSECUTIVE.values():
+        assert not np.array_equal(ordered, table)
+    # certify reads the block-order table; the degree ignores variable order
+    assert certify(cf, mode="exact").computed_degree == degree_of(cf.to_boolean_function())
+    # and cf.table keeps variable order
+    for i in np.random.default_rng(cf.n).integers(0, 1 << cf.n, 256):
+        assert table[i] == cf.value_at(int(i))
 
 
 def test_certify_peak_memory_per_cell():
