@@ -15,8 +15,9 @@ import numpy as np
 
 MAX_N = 27
 DEFAULT_DCAP = 12
-# Largest n whose exact-depth tables stay under 1 GB: the 3**n-state sweep
-# peaks at about 5.3 bytes per state.  Larger n is refused whatever the cap.
+# Largest n whose exact-depth tables stay under 1 GB: the 3**n-state sweeps
+# peak at about 4.3 bytes per state (tracemalloc, n = 14 and 15).  Larger n
+# is refused whatever the cap.
 MAX_DCAP = 17
 
 _BIT_CHARS = {"0": 0, "1": 1}
@@ -281,6 +282,41 @@ def sensitivity(f: BooleanFunction) -> int:
     return int(total.max())
 
 
+def _axis_sweep(
+    cube: np.ndarray, n: int, step: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
+) -> None:
+    """Call ``step(v0, v1, v2)`` once per axis of the flat ``(3,) * n`` cube.
+
+    ``v0``, ``v1`` and ``v2`` are the views of the cube with that axis's digit
+    at 0, 1 and 2, every other digit aligned; step updates ``v2`` in place.
+    Axes ``0..k-1``, ``k = (n + 1) // 2``, are swept in the cube itself.  The
+    other axes are swept in one contiguous transposed copy, which is written
+    back at the end, so no view has an inner run shorter than ``3 ** (n // 2)``
+    entries: numpy pays its loop overhead per run, and runs of 3 or 9 made
+    the innermost axes cost more than all the others together.
+    """
+    k = (n + 1) // 2
+    for a in range(k):
+        v = cube.reshape(3**a, 3, -1)
+        step(v[:, 0], v[:, 1], v[:, 2])
+    rows = cube.reshape(3**k, -1)
+    cols = np.ascontiguousarray(rows.T)
+    for a in range(n - k):
+        v = cols.reshape(3**a, 3, -1)
+        step(v[:, 0], v[:, 1], v[:, 2])
+    rows[...] = cols.T
+
+
+def _or_children(v0: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> None:
+    np.bitwise_or(v0, v1, out=v2)
+
+
+def _relax_depth(v0: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> None:
+    worst = np.maximum(v0, v1)
+    worst += 1
+    np.minimum(v2, worst, out=v2)
+
+
 def _partial_assignment_tables(f: BooleanFunction) -> tuple[np.ndarray, np.ndarray]:
     """Optimal query depth for every partial assignment of f's variables.
 
@@ -292,14 +328,22 @@ def _partial_assignment_tables(f: BooleanFunction) -> tuple[np.ndarray, np.ndarr
     depth sits at the all-free code ``3**n - 1``.
 
     Both tables are the flattened C-order ``(3,) * n`` cube whose axis ``a``
-    is variable ``x_{a+1}``, addressed as the middle axis of the view
-    ``reshape(-1, 3, 3 ** (n - 1 - a))``.  Flags come from an OR over each
-    axis, seeded on the all-fixed corner by the truth table.  Round ``d``
-    solves every state with a free axis whose two children were solved
-    before the round, and each state's depth counts the rounds that left it
-    unsolved.  The rounds
-    stop once the all-free state is solved; restriction never increases
-    depth, so every state is solved by then and every entry is final.
+    is variable ``x_{a+1}``; every pass over them goes through
+    ``_axis_sweep``.  Flags come from one OR pass, seeded on the all-fixed
+    corner by the truth table.  Depth starts at 0 on constant states and at
+    ``n + 1`` elsewhere, and each sweep sets ``v2 = min(v2, 1 + max(v0, v1))``
+    on every axis, in place.  Values only fall and each stays an upper bound
+    on the true depth: ``n + 1`` exceeds every depth, and an update takes the
+    cost of a tree that queries that axis first.  After sweep ``t`` every
+    state of depth at most ``t`` is final: one of its free axes has children
+    of depth below ``t``, final a sweep earlier.  So the sweeps stop, at most
+    ``D + 1`` of them for the full depth ``D``, after the first one that
+    changes nothing.  That fixpoint is exact: each state is the min over its
+    free axes of 1 + max of its children, which is the true depth by
+    induction on the number of free variables.  The change test compares
+    against a snapshot taken before the sweep and initialised to -1, which
+    no entry takes; an uninitialised buffer could already hold the table
+    and stop the loop before its first sweep.
     """
     n = f.n
     if n > MAX_DCAP:
@@ -307,21 +351,14 @@ def _partial_assignment_tables(f: BooleanFunction) -> tuple[np.ndarray, np.ndarr
     flags = np.zeros((3,) * n, dtype=np.uint8)
     flags[(slice(0, 2),) * n] = f.table().reshape((2,) * n) + 1
     flags = flags.reshape(-1)
-    for a in range(n):
-        v = flags.reshape(-1, 3, 3 ** (n - 1 - a))
-        v[:, 2] = v[:, 0] | v[:, 1]
+    _axis_sweep(flags, n, _or_children)
 
-    solved = flags != 3
-    grown = np.empty_like(solved)
-    depth = (~solved).astype(np.int8)
-    while not solved[-1]:
-        np.copyto(grown, solved)
-        for a in range(n):
-            s = solved.reshape(-1, 3, 3 ** (n - 1 - a))
-            g = grown.reshape(-1, 3, 3 ** (n - 1 - a))
-            g[:, 2] |= s[:, 0] & s[:, 1]
-        solved, grown = grown, solved
-        depth += ~solved
+    depth = (flags == 3).astype(np.int8)
+    depth *= n + 1
+    before = np.full_like(depth, -1)
+    while not np.array_equal(depth, before):
+        np.copyto(before, depth)
+        _axis_sweep(depth, n, _relax_depth)
     return depth, flags
 
 

@@ -256,6 +256,116 @@ def test_depth_tables_every_state():
         _check_every_state(random_function(rng, n))
 
 
+def _round_tables(f):
+    """The round-based depth kernel the in-place sweeps replaced, kept as a reference."""
+    n = f.n
+    if n > boolfn.MAX_DCAP:
+        raise ValueError(f"exact depth needs 3**n states; capped at n={boolfn.MAX_DCAP}, got n={n}")
+    flags = np.zeros((3,) * n, dtype=np.uint8)
+    flags[(slice(0, 2),) * n] = f.table().reshape((2,) * n) + 1
+    flags = flags.reshape(-1)
+    for a in range(n):
+        v = flags.reshape(-1, 3, 3 ** (n - 1 - a))
+        v[:, 2] = v[:, 0] | v[:, 1]
+
+    solved = flags != 3
+    grown = np.empty_like(solved)
+    depth = (~solved).astype(np.int8)
+    while not solved[-1]:
+        np.copyto(grown, solved)
+        for a in range(n):
+            s = solved.reshape(-1, 3, 3 ** (n - 1 - a))
+            g = grown.reshape(-1, 3, 3 ** (n - 1 - a))
+            g[:, 2] |= s[:, 0] & s[:, 1]
+        solved, grown = grown, solved
+        depth += ~solved
+    return depth, flags
+
+
+def _assert_round_tables(f, got):
+    for have, want in zip(got, _round_tables(f)):
+        assert have.dtype == want.dtype and have.shape == want.shape, f
+        assert np.array_equal(have, want), f
+
+
+def _decision_list(order):
+    """1, 0, 1, ... for the first set variable taken in `order`; 1 when none is set."""
+    def value(bits):
+        for k, var in enumerate(order):
+            if bits[var]:
+                return (k + 1) & 1
+        return 1
+    return BooleanFunction.from_callable(len(order), value)
+
+
+def _address(k, address_first):
+    """The data bit picked by k address bits, which lead or trail the 2**k data bits."""
+    def value(bits):
+        address, data = (bits[:k], bits[k:]) if address_first else (bits[-k:], bits[:-k])
+        return data[int("".join(map(str, address)), 2)]
+    return BooleanFunction.from_callable(k + 2**k, value)
+
+
+def _symmetric(n, rule):
+    return BooleanFunction(n, [rule(bin(i).count("1"), n) for i in range(1 << n)])
+
+
+def test_sweep_tables_match_round_kernel_random():
+    rng = np.random.default_rng(6)
+    for n in range(6, 11):
+        for density in (0.5, 0.05):
+            f = BooleanFunction(n, (rng.random(1 << n) < density).astype(np.uint8))
+            _assert_round_tables(f, boolfn._partial_assignment_tables(f))
+
+
+def test_sweep_tables_match_round_kernel_small():
+    # n = 1 and 2: the row/column split leaves one axis, or none, to the transposed copy
+    for n in (1, 2):
+        for code in range(1 << (1 << n)):
+            f = BooleanFunction(n, [(code >> i) & 1 for i in range(1 << n)])
+            _assert_round_tables(f, boolfn._partial_assignment_tables(f))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        _decision_list(range(10)),
+        _decision_list(range(9, -1, -1)),
+        _address(2, address_first=True),
+        _address(2, address_first=False),
+        *(_symmetric(n, lambda w, n: int(w == n)) for n in (3, 7, 8)),
+        *(_symmetric(n, lambda w, n: int(w > 0)) for n in (3, 7, 8)),
+        *(_symmetric(n, lambda w, n: w & 1) for n in (3, 7, 8)),
+    ],
+    ids=[
+        "declist-up", "declist-down", "address-first", "address-last",
+        *(f"{name}{n}" for name in ("and", "or", "parity") for n in (3, 7, 8)),
+    ],
+)
+def test_sweep_tables_match_round_kernel_structured(monkeypatch, f):
+    sweeps = []
+    sweep = boolfn._axis_sweep
+
+    def counted(cube, n, step):
+        sweeps.append(step)
+        sweep(cube, n, step)
+
+    monkeypatch.setattr(boolfn, "_axis_sweep", counted)
+    got = boolfn._partial_assignment_tables(f)
+    _assert_round_tables(f, got)
+    # one flags pass, then at most D + 1 depth sweeps, the last changing nothing
+    assert sweeps[0] is boolfn._or_children
+    assert 2 <= len(sweeps) - 1 <= int(got[0][-1]) + 1
+
+
+def test_depth_kernel_calls_do_not_share_state():
+    f, g = _decision_list(range(8)), _decision_list(range(7, -1, -1))
+    for h in (f, f, g, f):
+        got = boolfn._partial_assignment_tables(h)
+        _assert_round_tables(h, got)
+        del got  # free the tables, so the next call can be handed their memory
+
+
 def test_depth_refuses_more_than_max_dcap(monkeypatch):
     monkeypatch.setattr(boolfn, "MAX_DCAP", 3)
     assert deterministic_complexity(named_function("F3")) == 3

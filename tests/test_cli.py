@@ -177,14 +177,17 @@ def test_construct_report_stdout_is_golden(capsys, family):
         "verify --suite lemma2:3",
         "analyze builtin:F3",
         "analyze builtin:G4",
+        "analyze tests/golden/table-random10.json",
+        "analyze tests/golden/table-declist10.json",
         "construct --family lemma3:3,1 --emit report",
         "construct --family f3k:15 --emit report",
         "construct --family lemma3:3,2 --emit report",
     ],
 )
-def test_stdout_is_golden(capsys, argv):
-    # the golden file is named by the words that are not options
-    name = "-".join(w for w in argv.split() if not w.startswith("--")).replace(":", "-")
+def test_stdout_is_golden(capsys, monkeypatch, argv):
+    # the golden file is named by the words that are not options, a file by its stem
+    name = "-".join(Path(w).stem for w in argv.split() if not w.startswith("--")).replace(":", "-")
+    monkeypatch.chdir(GOLDEN.parents[1])
     assert cli.main(argv.split()) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
