@@ -287,8 +287,11 @@ def _axis_sweep(
 ) -> None:
     """Call ``step(v0, v1, v2)`` once per axis of the flat ``(3,) * n`` cube.
 
-    ``v0``, ``v1`` and ``v2`` are the views of the cube with that axis's digit
-    at 0, 1 and 2, every other digit aligned; step updates ``v2`` in place.
+    It runs the depth sweeps of ``_partial_assignment_tables``; the flags
+    cube is no longer swept but built by expanding the truth table one axis
+    at a time.  ``v0``, ``v1`` and ``v2`` are the views of the cube
+    with that axis's digit at 0, 1 and 2, every other digit aligned; step
+    updates ``v2`` in place.
     Axes ``0..k-1``, ``k = (n + 1) // 2``, are swept in the cube itself.  The
     other axes are swept in one contiguous transposed copy, which is written
     back at the end, so no view has an inner run shorter than ``3 ** (n // 2)``
@@ -305,10 +308,6 @@ def _axis_sweep(
         v = cols.reshape(3**a, 3, -1)
         step(v[:, 0], v[:, 1], v[:, 2])
     rows[...] = cols.T
-
-
-def _or_children(v0: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> None:
-    np.bitwise_or(v0, v1, out=v2)
 
 
 def _relax_depth(v0: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> None:
@@ -328,9 +327,14 @@ def _partial_assignment_tables(f: BooleanFunction) -> tuple[np.ndarray, np.ndarr
     depth sits at the all-free code ``3**n - 1``.
 
     Both tables are the flattened C-order ``(3,) * n`` cube whose axis ``a``
-    is variable ``x_{a+1}``; every pass over them goes through
-    ``_axis_sweep``.  Flags come from one OR pass, seeded on the all-fixed
-    corner by the truth table.  Depth starts at 0 on constant states and at
+    is variable ``x_{a+1}``.  Flags are not swept: they are built from
+    ``f.table() + 1`` by expanding the variables last first, each step
+    turning one 2-wide axis into a 3-wide one whose digits 0 and 1 are
+    copied and whose digit 2 is their OR.  That grows the cube along its
+    outermost binary axis, so every copy moves runs of ``3**i`` entries.
+    The steps alternate between two ``3**n`` buffers; flags end in one, and
+    the other becomes the depth table.  Every depth pass goes through
+    ``_axis_sweep``.  Depth starts at 0 on constant states and at
     ``n + 1`` elsewhere, and each sweep sets ``v2 = min(v2, 1 + max(v0, v1))``
     on every axis, in place.  Values only fall and each stays an upper bound
     on the true depth: ``n + 1`` exceeds every depth, and an update takes the
@@ -348,12 +352,16 @@ def _partial_assignment_tables(f: BooleanFunction) -> tuple[np.ndarray, np.ndarr
     n = f.n
     if n > MAX_DCAP:
         raise ValueError(f"exact depth needs 3**n states; capped at n={MAX_DCAP}, got n={n}")
-    flags = np.zeros((3,) * n, dtype=np.uint8)
-    flags[(slice(0, 2),) * n] = f.table().reshape((2,) * n) + 1
-    flags = flags.reshape(-1)
-    _axis_sweep(flags, n, _or_children)
-
-    depth = (flags == 3).astype(np.int8)
+    buffers = [np.empty(3**n, dtype=np.uint8) for _ in range(2)]
+    flags = f.table() + 1
+    for i in range(n):
+        grown = buffers[i % 2][: 3 ** (i + 1) << (n - 1 - i)].reshape(-1, 3, 3**i)
+        pair = flags.reshape(-1, 2, 3**i)
+        grown[:, :2] = pair
+        np.bitwise_or(pair[:, 0], pair[:, 1], out=grown[:, 2])
+        flags = grown.reshape(-1)
+    depth = buffers[n % 2].view(np.int8)
+    np.equal(flags, 3, out=depth.view(np.bool_))
     depth *= n + 1
     before = np.full_like(depth, -1)
     while not np.array_equal(depth, before):
@@ -409,14 +417,22 @@ def compose_table(
     ``outer`` is the uint8 table over the k block values (block 1 most
     significant), ``inner`` the uint8 table of one block, and ``blocks``
     gives each block's variables (0-based) in the inner function's variable
-    order; together they cover each variable once.  Taking the inner table
-    along each axis of the ``(2,)*k`` outer cube swaps that 2-wide axis for
-    the block's 2^b entries, so only uint8 arrays are built.  The ``(2,)*n``
-    result is then transposed to variable order; for consecutive blocks in
-    order the transpose is the identity and copies nothing.  ``certify``
-    relies on that: it asks for its row blocks with every level's blocks
-    renumbered as consecutive ranges, a table of the same function with
-    its variables permuted, which has the same degree.
+    order; they must partition ``range(n)`` into blocks of the inner
+    function's arity, else ``ValueError``.  Taking the inner table along
+    each axis of the ``(2,)*k`` outer cube swaps that 2-wide axis for the
+    block's 2^b entries, so only uint8 arrays are built.  The takes run
+    from the last block to the first: each one grows the cube along its
+    outermost axis still 2 wide, behind which every axis has already grown,
+    so each copy moves a contiguous run of 2^b or more entries.  Taken
+    first to last, the last and largest take would gather one byte at a
+    time along the innermost axis.  Only the previous step and its output
+    are alive at once, so the transient peak is the output plus the step
+    before it, at most two row blocks.  The ``(2,)*n`` result is then
+    transposed to variable order; for consecutive blocks in order the
+    transpose is the identity and copies nothing.  ``certify`` relies on
+    that: it asks for its row blocks with every level's blocks renumbered
+    as consecutive ranges, a table of the same function with its variables
+    permuted, which has the same degree.
 
     ``start`` and ``stop`` select the entries ``[start, stop)`` of the
     table, a range of 2^m entries with ``start`` a multiple of 2^m; the
@@ -424,20 +440,31 @@ def compose_table(
     variables, so each block takes its inner table restricted to its fixed
     variables, and only the 2^m entries are built.
     """
-    n = sum(len(block) for block in blocks)
+    k, b = len(blocks), max(inner.size.bit_length() - 1, 0)
+    n = k * b
+    if (
+        outer.size != 1 << k
+        or inner.size != 1 << b
+        or any(len(block) != b for block in blocks)
+        or sorted(var for block in blocks for var in block) != list(range(n))
+    ):
+        raise ValueError(
+            f"blocks {[tuple(block) for block in blocks]} must partition range({n}) into {k} "
+            f"blocks of {b}, with a 2^{b}-entry inner table and a 2^{k}-entry outer table; "
+            f"got {inner.size} and {outer.size} entries"
+        )
     stop = (1 << n) if stop is None else stop
     m = (stop - start).bit_length() - 1
     if not 0 <= start < stop <= 1 << n or stop - start != 1 << m or start % (1 << m):
         raise ValueError(f"[{start}, {stop}) is not an aligned power-of-two range of 2^{n} entries")
-    cube = outer.reshape((2,) * len(blocks))
-    inner = inner.reshape((2,) * len(blocks[0]))
-    free_vars = []
-    for axis, block in enumerate(blocks):
+    cube = outer.reshape((2,) * k)
+    inner = inner.reshape((2,) * b)
+    for axis in reversed(range(k)):
         fixed = tuple(
-            slice(None) if var >= n - m else (start >> (n - 1 - var)) & 1 for var in block
+            slice(None) if var >= n - m else (start >> (n - 1 - var)) & 1 for var in blocks[axis]
         )
         cube = np.take(cube, inner[fixed].reshape(-1), axis=axis)
-        free_vars += [var for var in block if var >= n - m]
+    free_vars = [var for block in blocks for var in block if var >= n - m]
     cube = cube.reshape((2,) * m).transpose(np.argsort(free_vars))
     return np.ascontiguousarray(cube).reshape(-1)
 

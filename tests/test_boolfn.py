@@ -353,9 +353,9 @@ def test_sweep_tables_match_round_kernel_structured(monkeypatch, f):
     monkeypatch.setattr(boolfn, "_axis_sweep", counted)
     got = boolfn._partial_assignment_tables(f)
     _assert_round_tables(f, got)
-    # one flags pass, then at most D + 1 depth sweeps, the last changing nothing
-    assert sweeps[0] is boolfn._or_children
-    assert 2 <= len(sweeps) - 1 <= int(got[0][-1]) + 1
+    # flags are built, not swept: only depth sweeps, at most D + 1, the last changing nothing
+    assert all(step is boolfn._relax_depth for step in sweeps)
+    assert 2 <= len(sweeps) <= int(got[0][-1]) + 1
 
 
 def test_depth_kernel_calls_do_not_share_state():
@@ -364,6 +364,19 @@ def test_depth_kernel_calls_do_not_share_state():
         got = boolfn._partial_assignment_tables(h)
         _assert_round_tables(h, got)
         del got  # free the tables, so the next call can be handed their memory
+
+
+def test_depth_kernel_peak_memory_per_state():
+    # the figure behind MAX_DCAP and README's 1 GB sentence
+    n = 12
+    f = BooleanFunction(n, np.random.default_rng(12).integers(0, 2, 1 << n).astype(np.uint8))
+    tracemalloc.start()
+    try:
+        boolfn._partial_assignment_tables(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 3**n < 4.6
 
 
 def test_depth_refuses_more_than_max_dcap(monkeypatch):
@@ -523,6 +536,22 @@ def test_compose_table_rejects_unaligned_ranges(start, stop):
     inner = np.array([0, 1, 1, 1, 1, 1, 1, 0], dtype=np.uint8)
     with pytest.raises(ValueError, match="aligned power-of-two range"):
         compose_table(outer, inner, [(0, 1, 2), (3, 4, 5)], start, stop)
+
+
+@pytest.mark.parametrize(
+    "blocks, inner",
+    [
+        (((0, 1), (0, 1)), [0, 1, 1, 0]),  # a variable twice, one missing
+        (((0, 1), (3, 4)), [0, 1, 1, 0]),  # variables outside range(4)
+        (((0, 1), (2,)), [0, 1, 1, 0]),  # a block of the wrong arity
+        (((0, 1), (2, 3)), [0, 1, 1]),  # an inner table that is not 2^b entries
+    ],
+    ids=["repeated", "out-of-range", "short-block", "inner-3-entries"],
+)
+def test_compose_table_rejects_blocks_that_do_not_partition(blocks, inner):
+    and2 = np.array([0, 0, 0, 1], dtype=np.uint8)
+    with pytest.raises(ValueError, match="must partition"):
+        compose_table(and2, np.array(inner, dtype=np.uint8), blocks)
 
 
 def test_compose_table_builds_only_uint8_tables():

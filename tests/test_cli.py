@@ -182,6 +182,8 @@ def test_construct_report_stdout_is_golden(capsys, family):
         "construct --family lemma3:3,1 --emit report",
         "construct --family f3k:15 --emit report",
         "construct --family lemma3:3,2 --emit report",
+        "construct --family f3k:5 --emit table",  # interleaved triangle blocks: a real transpose
+        "construct --family f12 --emit table",
     ],
 )
 def test_stdout_is_golden(capsys, monkeypatch, argv):
