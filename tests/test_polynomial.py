@@ -134,13 +134,19 @@ def test_parity_20_full_mask_coefficient():
     assert degree_of(BooleanFunction(n, parity)) == n
 
 
-def reference_degree(table):
-    """int64 Mobius transform, one pass per bit, then the largest popcount."""
-    n = table.size.bit_length() - 1
-    coeffs = table.astype(np.int64)
-    for b in range(n):
+def reference_passes(table, bits):
+    """int64 Mobius transform over the ``bits`` lowest index bits, one pass
+    per bit."""
+    coeffs = np.asarray(table).astype(np.int64)
+    for b in range(bits):
         v = coeffs.reshape(-1, 2, 1 << b)
         v[:, 1, :] -= v[:, 0, :]
+    return coeffs
+
+
+def reference_degree(table):
+    """The full reference transform, then the largest popcount."""
+    coeffs = reference_passes(table, table.size.bit_length() - 1)
     return max((bin(int(mask)).count("1") for mask in np.flatnonzero(coeffs)), default=0)
 
 
@@ -165,21 +171,81 @@ def kernel_tables(rng, n):
     }
 
 
+def shrink_blocks(monkeypatch):
+    """5 low bits, blocks of 4 rows, slabs of 2^13 entries: small tables then
+    cross many blocks and slabs, every block goes from the lookup (bits 0-3)
+    through one int8 pass (bit 4) into the int16 array, and stage 2 runs
+    from n = 6.  Stage 1's int16 passes run unshrunk, from n = 8."""
+    monkeypatch.setattr(polynomial, "_LOW_BITS", 5)
+    monkeypatch.setattr(polynomial, "_BLOCK", 1 << 7)
+    monkeypatch.setattr(polynomial, "_SLAB", 1 << 13)
+
+
 @pytest.mark.parametrize("shrunk", [False, True])
 @pytest.mark.parametrize("n", range(19))
 def test_table_degree_matches_reference(n, shrunk, monkeypatch):
     if shrunk:
-        # 5 low bits, blocks of 4 rows, slabs of 2^13 entries: small tables
-        # then cross many blocks and slabs, and stage 2 runs from n = 6
-        monkeypatch.setattr(polynomial, "_LOW_BITS", 5)
-        monkeypatch.setattr(polynomial, "_BLOCK", 1 << 7)
-        monkeypatch.setattr(polynomial, "_SLAB", 1 << 13)
+        shrink_blocks(monkeypatch)
     tables = kernel_tables(np.random.default_rng(100 + n), n)
     for name, table in tables.items():
         assert polynomial.table_degree(table) == reference_degree(table), name
-    # from n = 15 on, parity's values after the 15 int16 passes reach that
-    # stage's bound of 2^14 exactly
+    # from n = 7 on, parity's values after the lookup and the 3 int8 passes
+    # reach that stage's bound of 64 = 2^6 exactly, so one more int8 pass
+    # would overflow; from n = 15 on, its values after the 15 int16 passes
+    # reach that stage's bound of 2^14 exactly
+    if n >= 7:
+        assert np.abs(reference_passes(tables["parity"], 7)).max() == 64
     assert polynomial.table_degree(tables["parity"]) == n
+
+
+def test_mobius16_lookup_matches_reference():
+    lookup = polynomial._mobius16()
+    assert lookup.dtype == np.int8 and lookup.shape == (1 << 16, 16)
+    # entry k of row u is bit 15 - k of u: the first entry is the most
+    # significant bit, as np.packbits and a big-endian uint16 view read it
+    u = np.arange(1 << 16)
+    patterns = (u[:, None] >> (15 - np.arange(16))) & 1
+    # index bits 0-3 of the flattened patterns run within one row
+    assert (lookup == reference_passes(patterns.reshape(-1), 4).reshape(-1, 16)).all()
+
+
+@pytest.mark.parametrize("bad", [2, -1, 255])
+def test_table_degree_refuses_entries_other_than_0_and_1(bad, monkeypatch):
+    table = np.zeros(1 << 9, dtype=np.int16)
+    table[300] = bad
+    with pytest.raises(ValueError, match="0 or 1"):
+        polynomial.table_degree(table)
+    # a row source is checked block by block: the bad entry sits in the
+    # third of four blocks
+    shrink_blocks(monkeypatch)
+    with pytest.raises(ValueError, match="0 or 1"):
+        polynomial.table_degree(lambda start, stop: table[start:stop], 9)
+    with pytest.raises(ValueError, match="0 or 1"):
+        polynomial.table_degree(np.array([0, bad]))
+
+
+def test_table_degree_accepts_bool_and_uint8_tables():
+    table = kernel_tables(np.random.default_rng(5), 9)["random"]
+    expected = reference_degree(table)
+    for t in (table.astype(bool), table.astype(np.uint8), table.astype(np.int64)):
+        assert polynomial.table_degree(t) == expected
+        assert polynomial.table_degree(lambda start, stop: t[start:stop], 9) == expected
+
+
+def test_transforms_restore_numpy_bufsize(monkeypatch):
+    before = np.getbufsize()
+    table = kernel_tables(np.random.default_rng(6), 9)["random"]
+    polynomial.table_degree(table)
+    polynomial.mobius_coefficients(table)
+    assert np.getbufsize() == before
+    # a source whose second block holds a 2 raises after the first block's
+    # passes have run
+    shrink_blocks(monkeypatch)
+    bad = table.copy()
+    bad[200] = 2
+    with pytest.raises(ValueError, match="0 or 1"):
+        polynomial.table_degree(lambda start, stop: bad[start:stop], 9)
+    assert np.getbufsize() == before
 
 
 def test_table_degree_allocates_no_2n_int32_array():
