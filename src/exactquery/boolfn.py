@@ -371,11 +371,35 @@ def _partial_assignment_tables(f: BooleanFunction) -> tuple[np.ndarray, np.ndarr
 
 
 def deterministic_complexity(f: BooleanFunction, cap: int = DEFAULT_DCAP) -> Optional[int]:
-    """Exact decision-tree depth of f: None above the cap, ValueError above MAX_DCAP."""
-    if f.n > cap:
+    """Exact decision-tree depth of f: None above the cap, ValueError above MAX_DCAP.
+
+    The checks run in that order, then the degree bound, then the sweep,
+    so the refusal holds even where the degree would settle the depth.
+    The bound reads D(f) = n from the multilinear coefficients ``c`` when
+    f is not constant and either ``c[top] != 0`` or ``c[top ^ (1 << j)]
+    != 0`` for every j, ``top`` being the mask of all n variables.  That
+    is sound: for a non-constant f, D(f) = 1 + min_i max_b D(f|x_i=b),
+    and every restriction has depth at least its degree (Nisan-Szegedy
+    1994).  The top coefficient of f|x_i=0 is ``c[top ^ bit_i]`` and that
+    of f|x_i=1 is ``c[top ^ bit_i] + c[top]``, so under the test every
+    variable has a restriction of degree n - 1, and D(f) >= n.  The guard
+    matters: the constant 1 on one variable has ``c[top ^ 1] = c[0] = 1``
+    and depth 0.  Only when the test fails is the 3**n-state table of
+    ``_partial_assignment_tables`` built.
+    """
+    n = f.n
+    if n > cap:
         return None
+    if n > MAX_DCAP:
+        raise ValueError(f"exact depth needs 3**n states; capped at n={MAX_DCAP}, got n={n}")
+    from . import polynomial
+
+    c = polynomial.mobius_coefficients(f.table())
+    top = c.size - 1
+    if c[1:].any() and (c[top] or c[top ^ (1 << np.arange(n))].all()):
+        return n
     depth, _ = _partial_assignment_tables(f)
-    return int(depth[3**f.n - 1])
+    return int(depth[3**n - 1])
 
 
 def complement_symmetric_functions(n: int) -> list[BooleanFunction]:

@@ -398,6 +398,77 @@ def test_depth_sensitivity_bounds_random():
             assert d == n
 
 
+def _degree_bound_closes(table):
+    """The test by which deterministic_complexity reads D(f) = n, on a plain subset transform."""
+    c = np.asarray(table, dtype=np.int64).copy()
+    n = c.size.bit_length() - 1
+    for b in range(n):
+        v = c.reshape(-1, 2, 1 << b)
+        v[:, 1] -= v[:, 0]
+    top = c.size - 1
+    return bool(c[1:].any()) and (c[top] != 0 or all(c[top ^ (1 << j)] != 0 for j in range(n)))
+
+
+def _cosym(n, seed):
+    """A seeded random complement-symmetric table (numpy default_rng(seed))."""
+    t = np.random.default_rng(seed).integers(0, 2, 1 << n, dtype=np.uint8)
+    t[1 << (n - 1):] = t[: 1 << (n - 1)][::-1]
+    return BooleanFunction(n, t)
+
+
+def _degree_bound_cases():
+    for n in (1, 2, 3):
+        for code in range(1 << (1 << n)):
+            yield BooleanFunction(n, [(code >> i) & 1 for i in range(1 << n)])
+    yield from boolfn.complement_symmetric_functions(4)
+    rng = np.random.default_rng(23)
+    for n, count in ((4, 400), (5, 400), (6, 300), (7, 300), (8, 250), (9, 200), (10, 150)):
+        for density in (0.5, 0.1):
+            for _ in range(count // 2):
+                yield BooleanFunction(n, (rng.random(1 << n) < density).astype(np.uint8))
+
+
+def test_degree_bound_agrees_with_depth_sweep():
+    closed = total = 0
+    for f in _degree_bound_cases():
+        swept = int(boolfn._partial_assignment_tables(f)[0][-1])
+        if _degree_bound_closes(f.table()):
+            assert swept == f.n, f
+            closed += 1
+        assert deterministic_complexity(f, cap=f.n) == swept, f
+        total += 1
+    assert total == 4 + 16 + 256 + 256 + 2000
+    assert 0 < closed < total
+    # the non-constant guard: on one variable the constant 1 has c[top ^ 1] = c[0] = 1
+    assert deterministic_complexity(BooleanFunction.constant(1, 1)) == 0
+
+
+@pytest.mark.parametrize(
+    "f, sweeps",
+    [
+        (_symmetric(8, lambda w, n: w & 1), 0),
+        (BooleanFunction(12, np.random.default_rng(12).integers(0, 2, 1 << 12, dtype=np.uint8)), 0),
+        (_symmetric(8, lambda w, n: int(w == n)), 0),  # c[top] is its only nonzero coefficient
+        (_cosym(9, 1), 0),  # odd n and complement-symmetric: c[top] = 0, every c[top ^ bit] != 0
+        (BooleanFunction(4, [(i >> 3) & 1 for i in range(16)]), 1),  # x1, depth 1
+        (_cosym(9, 3), 1),  # c[top] = 0 = c[top ^ bit] for x7; tests/golden/table-cosym9.json
+    ],
+    ids=["parity8", "random12", "and8", "cosym9-seed1", "dictator4", "cosym9-seed3"],
+)
+def test_depth_sweep_runs_only_where_the_degree_bound_misses(monkeypatch, f, sweeps):
+    calls = []
+    tables = boolfn._partial_assignment_tables
+
+    def counted(g):
+        calls.append(g)
+        return tables(g)
+
+    monkeypatch.setattr(boolfn, "_partial_assignment_tables", counted)
+    d = deterministic_complexity(f, cap=f.n)
+    assert len(calls) == sweeps
+    assert d == int(tables(f)[0][-1])
+
+
 # ---------------------------------------------------------------------------
 # Enumeration of complement-symmetric full-depth functions
 # ---------------------------------------------------------------------------
