@@ -370,22 +370,102 @@ def _partial_assignment_tables(f: BooleanFunction) -> tuple[np.ndarray, np.ndarr
     return depth, flags
 
 
+def _proves_full_depth(c: np.ndarray, budget: Optional[int] = None) -> bool:
+    """Whether the multilinear coefficients ``c`` (by mask) of f prove D(f) = n.
+
+    A restriction g of f on m free variables has depth m when its top
+    coefficient is nonzero, since depth is at least degree (Nisan-Szegedy
+    1994), or when m >= 2 and every free variable x_p has a restriction
+    g|x_p=b of depth m - 1: those are not constant, so neither is g, and
+    D(g) = 1 + min_p max_b D(g|x_p=b) >= m.  The coefficients of g|x_p=0
+    are those of g on masks without bit p; g|x_p=1 adds to each the one
+    with bit p.  Their top coefficients are ``g[top ^ bit_p]`` and that
+    plus ``g[top]``, so a restriction is looked into only for the
+    variables where both are zero.  On one free variable a zero top
+    coefficient means a constant, and the rule fails there.
+
+    Followed to the end the rule decides D(f) = n exactly, but only as a
+    search over restrictions.  The search deepens one restriction at a time,
+    so shallow proofs are found first, keeps the restrictions it proved and
+    the deepest search that failed on each, and gives up after visiting
+    ``budget`` restrictions (tests raise it to follow the rule to the end).
+    The default, 1.5**n visits of at most 2**(n-1) coefficients each, reads
+    fewer entries than one pass over the sweep's 3**n states.  Functions of
+    low degree and depth n, such as compositions of F3, make it give up, at
+    about the cost of the sweep from n = 9 on.  A function that ignores a
+    variable, a constant among them, has D(f) < n and is turned down before
+    any search.
+    """
+    n = c.size.bit_length() - 1
+    if np.bitwise_or.reduce(np.flatnonzero(c)) != c.size - 1:
+        return False
+    if budget is None:
+        budget = int(1.5**n)
+    # the masks one variable short of the top, for each number of free variables
+    below_top = [((1 << m) - 1) ^ (1 << np.arange(m)) for m in range(n + 1)]
+    proven: set = set()
+    failed: dict = {}
+    visits = 0
+    cut = False
+
+    def proves(g: np.ndarray, free: tuple, key: tuple, level: int) -> bool:
+        # key: (mask of the fixed variables, mask of those fixed to 1) in f's bits
+        nonlocal visits, cut
+        if key in proven:
+            return True
+        if failed.get(key, 0) >= level:
+            return False
+        visits += 1
+        m = len(free)
+        top = g.size - 1
+        if g[top]:
+            proven.add(key)
+            return True
+        if m == 1:
+            failed[key] = n + 1
+            return False
+        open_vars = (g[below_top[m]] == 0).nonzero()[0].tolist()
+        if open_vars and (level == 1 or visits > budget):
+            cut = True
+            failed[key] = level
+            return False
+        for p in open_vars:
+            pair = g.reshape(-1, 2, 1 << p)
+            rest = free[:p] + free[p + 1 :]
+            bit = 1 << free[p]
+            if not (
+                proves(pair[:, 0].reshape(-1), rest, (key[0] | bit, key[1]), level - 1)
+                or proves((pair[:, 0] + pair[:, 1]).reshape(-1), rest, (key[0] | bit, key[1] | bit), level - 1)
+            ):
+                failed[key] = level
+                return False
+        proven.add(key)
+        return True
+
+    for level in range(1, n + 1):
+        cut = False
+        if proves(c, tuple(range(n)), (0, 0), level):
+            return True
+        if not cut or visits > budget:
+            return False
+    return False
+
+
 def deterministic_complexity(f: BooleanFunction, cap: int = DEFAULT_DCAP) -> Optional[int]:
     """Exact decision-tree depth of f: None above the cap, ValueError above MAX_DCAP.
 
-    The checks run in that order, then the degree bound, then the sweep,
-    so the refusal holds even where the degree would settle the depth.
-    The bound reads D(f) = n from the multilinear coefficients ``c`` when
-    f is not constant and either ``c[top] != 0`` or ``c[top ^ (1 << j)]
-    != 0`` for every j, ``top`` being the mask of all n variables.  That
-    is sound: for a non-constant f, D(f) = 1 + min_i max_b D(f|x_i=b),
-    and every restriction has depth at least its degree (Nisan-Szegedy
-    1994).  The top coefficient of f|x_i=0 is ``c[top ^ bit_i]`` and that
-    of f|x_i=1 is ``c[top ^ bit_i] + c[top]``, so under the test every
-    variable has a restriction of degree n - 1, and D(f) >= n.  The guard
-    matters: the constant 1 on one variable has ``c[top ^ 1] = c[0] = 1``
-    and depth 0.  Only when the test fails is the 3**n-state table of
-    ``_partial_assignment_tables`` built.
+    The checks run in that order, then the restriction search of
+    ``_proves_full_depth`` on f's multilinear coefficients, then the sweep,
+    so the refusal holds even where the degree would settle the depth.  The
+    search's first step is the degree bound: D(f) = n when f depends on
+    every variable and either its all-variables coefficient or every
+    coefficient one variable short of it is nonzero, for then every
+    variable has a restriction of degree n - 1.  Where that misses, most
+    often on complement-symmetric tables, whose odd-size Fourier
+    coefficients vanish, restrictions of restrictions usually settle it.
+    Only when the search fails is the 3**n-state table of
+    ``_partial_assignment_tables`` built: for functions of depth below n,
+    and for the few of depth n that the search gives up on.
     """
     n = f.n
     if n > cap:
@@ -394,9 +474,7 @@ def deterministic_complexity(f: BooleanFunction, cap: int = DEFAULT_DCAP) -> Opt
         raise ValueError(f"exact depth needs 3**n states; capped at n={MAX_DCAP}, got n={n}")
     from . import polynomial
 
-    c = polynomial.mobius_coefficients(f.table())
-    top = c.size - 1
-    if c[1:].any() and (c[top] or c[top ^ (1 << np.arange(n))].all()):
+    if _proves_full_depth(polynomial.mobius_coefficients(f.table())):
         return n
     depth, _ = _partial_assignment_tables(f)
     return int(depth[3**n - 1])

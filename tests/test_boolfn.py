@@ -1,12 +1,14 @@
 """Truth tables, named fixtures and complexity measures."""
 
+import json
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from exactquery import boolfn
+from exactquery import boolfn, polynomial
 from exactquery.boolfn import (
     BooleanFunction,
     InputAssignment,
@@ -22,6 +24,8 @@ from exactquery.boolfn import (
     sensitivity,
     sensitivity_at,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +447,39 @@ def test_degree_bound_agrees_with_depth_sweep():
     assert deterministic_complexity(BooleanFunction.constant(1, 1)) == 0
 
 
+def test_restriction_search_is_exact_on_small_functions():
+    # followed to the end the search decides D(f) = n, and within its default 1.5**n visits
+    # it still does on every function with n <= 3, every complement-symmetric one with
+    # n = 4 and the 400 seeded ones with n = 4
+    for f in _degree_bound_cases():
+        if f.n > 4:
+            break
+        full = int(boolfn._partial_assignment_tables(f)[0][-1]) == f.n
+        c = polynomial.mobius_coefficients(f.table())
+        assert boolfn._proves_full_depth(c, budget=3**f.n) == full, f
+        assert boolfn._proves_full_depth(c) == full, f
+
+
+def test_restriction_search_proves_complement_symmetric_tables():
+    # the degree bound misses 19 of these 120 (odd-size Fourier coefficients vanish);
+    # within its 1.5**n visits the search proves 17 of the 19, all of depth n
+    missed = proved = 0
+    for n in (9, 10, 11):
+        for seed in range(40):
+            f = _cosym(n, seed)
+            if _degree_bound_closes(f.table()):
+                continue
+            missed += 1
+            proved += boolfn._proves_full_depth(polynomial.mobius_coefficients(f.table()))
+            assert int(boolfn._partial_assignment_tables(f)[0][-1]) == n
+    assert (missed, proved) == (19, 17)
+
+
+def _mux9():
+    """x1 ? B(x6..x9) : A(x2..x5), A and B seeded: depends on every variable, depth 5."""
+    return BooleanFunction.from_json_dict(json.loads((GOLDEN / "table-mux9.json").read_text(encoding="utf-8")))
+
+
 @pytest.mark.parametrize(
     "f, sweeps",
     [
@@ -450,12 +487,13 @@ def test_degree_bound_agrees_with_depth_sweep():
         (BooleanFunction(12, np.random.default_rng(12).integers(0, 2, 1 << 12, dtype=np.uint8)), 0),
         (_symmetric(8, lambda w, n: int(w == n)), 0),  # c[top] is its only nonzero coefficient
         (_cosym(9, 1), 0),  # odd n and complement-symmetric: c[top] = 0, every c[top ^ bit] != 0
-        (BooleanFunction(4, [(i >> 3) & 1 for i in range(16)]), 1),  # x1, depth 1
-        (_cosym(9, 3), 1),  # c[top] = 0 = c[top ^ bit] for x7; tests/golden/table-cosym9.json
+        (BooleanFunction(4, [(i >> 3) & 1 for i in range(16)]), 1),  # x1 ignores x2..x4
+        (_cosym(9, 3), 0),  # c[top] = 0 = c[top ^ bit] for x7: its restrictions' restrictions prove it
+        (_mux9(), 1),  # the search fails; tests/golden/table-mux9.json
     ],
-    ids=["parity8", "random12", "and8", "cosym9-seed1", "dictator4", "cosym9-seed3"],
+    ids=["parity8", "random12", "and8", "cosym9-seed1", "dictator4", "cosym9-seed3", "mux9"],
 )
-def test_depth_sweep_runs_only_where_the_degree_bound_misses(monkeypatch, f, sweeps):
+def test_depth_sweep_runs_only_where_the_restriction_search_fails(monkeypatch, f, sweeps):
     calls = []
     tables = boolfn._partial_assignment_tables
 

@@ -179,7 +179,8 @@ def test_construct_report_stdout_is_golden(capsys, family):
         "analyze builtin:G4",
         "analyze tests/golden/table-random10.json",
         "analyze tests/golden/table-declist10.json",
-        "analyze tests/golden/table-cosym9.json",  # the degree bound misses it: the depth sweep runs
+        "analyze tests/golden/table-cosym9.json",  # the degree bound misses it, restrictions prove D = n
+        "analyze tests/golden/table-mux9.json",  # depth 5 < n: the depth sweep runs
         "construct --family lemma3:3,1 --emit report",
         "construct --family f3k:15 --emit report",
         "construct --family lemma3:3,2 --emit report",
