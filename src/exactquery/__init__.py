@@ -40,14 +40,11 @@ from .lowdeg import (
     p4_eval,
 )
 from .polynomial import (
-    MultilinearPolynomial,
     RangePolynomial,
     degree_of,
     find_collapser,
     fit_range_polynomial,
-    interpolate,
     qe_lower_bound,
-    verify_represents,
 )
 from .qsim import (
     ExactScalar,

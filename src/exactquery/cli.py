@@ -147,10 +147,16 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         _emit(report.to_json_dict())
         _info(f"family {args.family}: status {report.status}")
         return EXIT_OK if report.status == "confirmed" else EXIT_FAIL
-    if args.emit == "poly" and cf.n > polynomial.INTERPOLATION_CAP:
+    if args.emit == "table":
+        _emit(cf.to_boolean_function().to_json_dict())
+        return EXIT_OK
+    if cf.n > polynomial.INTERPOLATION_CAP:
         raise ValueError(f"polynomial emission capped at n={polynomial.INTERPOLATION_CAP}; n={cf.n}")
-    f = cf.to_boolean_function()
-    _emit(f.to_json_dict() if args.emit == "table" else polynomial.interpolate(f).to_json_dict())
+    # a 0/1 table's coefficients are integers: every term's denominator is 1
+    coeffs = polynomial.mobius_coefficients(cf.table())
+    masks = coeffs.nonzero()[0]
+    terms = [{"mask": m, "num": str(c), "den": "1"} for m, c in zip(masks.tolist(), coeffs[masks].tolist())]
+    _emit({"n": cf.n, "terms": terms})
     return EXIT_OK
 
 

@@ -55,17 +55,6 @@ class DecisionTree:
             node = node.if_one if x.bits[node.var] else node.if_zero
         return node.value, reads
 
-    def paths_repeat_no_variable(self) -> bool:
-        def rec(node: TreeNode, seen: frozenset[int]) -> bool:
-            if isinstance(node, Leaf):
-                return True
-            if node.var in seen:
-                return False
-            seen = seen | {node.var}
-            return rec(node.if_zero, seen) and rec(node.if_one, seen)
-
-        return rec(self.root, frozenset())
-
 
 def build_decision_tree(h: BooleanFunction) -> DecisionTree:
     """Materialize an optimal decision tree for h (depth equals exact D(h)).

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import polynomial
 from .boolfn import (
-    MAX_N, BooleanFunction, InputAssignment, coerce_input, compose_table, sensitivity_at,
+    MAX_N, BooleanFunction, coerce_input, compose_table, sensitivity_at,
 )
 from .polynomial import find_collapser, published_k7_collapser, collapser_transcription_report
 
@@ -113,28 +113,6 @@ def connection_pairs(x, part: GroupPartition) -> tuple[tuple[int, int], ...]:
     for j, v in enumerate(g2):
         pairs.append(tuple(sorted((v, g1[j]))))
     return tuple(sorted(pairs))
-
-
-def base_connection_graph(part: GroupPartition) -> tuple[tuple[int, int], ...]:
-    """The canonical pairing of the fully-colored configuration.
-
-    For three equal groups this is a disjoint triangle per position, one
-    vertex in each group.  Fixing this graph turns the colored-minus-paired
-    count into a genuine quadratic polynomial; on inputs whose colored points
-    pack the leading positions of every group its value coincides with
-    connection_value.
-    """
-    all_ones = InputAssignment(part.n, (1,) * part.n)
-    return connection_pairs(all_ones, part)
-
-
-def fixed_pairing_value(x, part: GroupPartition) -> int:
-    """|x| minus the number of base-graph connections with both ends colored."""
-    x = coerce_input(x, part.n)
-    total = sum(x.bits)
-    for u, v in base_connection_graph(part):
-        total -= x.bits[u] & x.bits[v]
-    return total
 
 
 # ---------------------------------------------------------------------------

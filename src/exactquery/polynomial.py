@@ -1,11 +1,13 @@
 """Multilinear representing polynomials and univariate range collapsers.
 
 Every Boolean function has a unique multilinear polynomial agreeing with it
-on {0,1}^n; its coefficients come out of the in-place subset (Mobius)
-transform of the truth table.  Monomial masks use the same bit convention as
-truth-table indices: mask bit ``n-1-j`` (counting from the least significant
-bit) stands for variable ``x_{j+1}``, so a monomial evaluates to 1 at input
-index ``i`` exactly when ``mask & i == mask``.
+on {0,1}^n.  Its coefficients are integers and come out of the in-place
+subset (Mobius) transform of the truth table, as one int32 array indexed by
+monomial mask; that array is the only multilinear representation.  Monomial
+masks use the same bit convention as truth-table indices: mask bit ``n-1-j``
+(counting from the least significant bit) stands for variable ``x_{j+1}``,
+so a monomial evaluates to 1 at input index ``i`` exactly when
+``mask & i == mask``.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import numpy as np
 
 from .boolfn import BooleanFunction
 
-# interpolate builds one Fraction per term; every 2^n array is otherwise
-# bounded by boolfn.MAX_N alone
+# construct --emit poly writes one JSON term per nonzero coefficient, up to
+# 2^24 of them; every 2^n array is otherwise bounded by boolfn.MAX_N alone
 INTERPOLATION_CAP = 24
 
 # table_degree's stage-1 blocks (int16) and stage-2 slabs (int32) take about
@@ -75,20 +77,19 @@ def _log2_size(a: np.ndarray) -> int:
     return n
 
 
-def _subset_transform(a: np.ndarray, sign: int, bits: int, run: int = 1) -> np.ndarray:
-    """In-place subset transform of a contiguous array over the low ``bits``
-    bits of ``index // run``, one pass per bit.
+def _subset_transform(a: np.ndarray, bits: int, run: int = 1) -> np.ndarray:
+    """In-place subset (Mobius) transform, values to coefficients, of a
+    contiguous array over the low ``bits`` bits of ``index // run``, one pass
+    per bit.
 
-    Sign -1 turns values into coefficients (Mobius), +1 turns coefficients
-    back into values (zeta).  The passes run with numpy's ufunc buffer at
-    ``_BUFSIZE`` elements; the caller's size is restored on return.
+    The passes run with numpy's ufunc buffer at ``_BUFSIZE`` elements; the
+    caller's size is restored on return.
     """
-    op = np.subtract if sign < 0 else np.add
     old = np.setbufsize(_BUFSIZE)
     try:
         for b in range(bits):
             v = a.reshape(-1, 2, run << b)
-            op(v[:, 1, :], v[:, 0, :], out=v[:, 1, :])
+            np.subtract(v[:, 1, :], v[:, 0, :], out=v[:, 1, :])
     finally:
         np.setbufsize(old)
     return a
@@ -102,13 +103,7 @@ def mobius_coefficients(table: np.ndarray) -> np.ndarray:
     is at most 2^(n-1): int32 is exact for n <= 31, beyond ``boolfn.MAX_N``.
     """
     a = np.asarray(table).astype(np.int32)
-    return _subset_transform(a, -1, _log2_size(a))
-
-
-def evaluate_coefficients(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse (zeta) transform: table of values from coefficients by mask."""
-    a = np.asarray(coeffs).astype(np.int64)
-    return _subset_transform(a, 1, _log2_size(a))
+    return _subset_transform(a, _log2_size(a))
 
 
 def table_degree(
@@ -156,10 +151,10 @@ def table_degree(
         if rows.max() > 1 or rows.min() < 0:
             raise ValueError("table entries must be 0 or 1")
         seg8 = np.take(lookup, np.packbits(rows).view(">u2"), axis=0).reshape(-1)
-        _subset_transform(seg8, -1, narrow - 4, 1 << 4)
+        _subset_transform(seg8, narrow - 4, 1 << 4)
         seg = mid.reshape(-1)[start : start + block]
         seg[...] = seg8
-        _subset_transform(seg, -1, low - narrow, 1 << narrow)
+        _subset_transform(seg, low - narrow, 1 << narrow)
     del rows, seg8
 
     pc = _popcount16()
@@ -169,165 +164,14 @@ def table_degree(
     weight = pc[: 1 << high, None] + pc[None, :cols]
     best = 0
     for c0 in range(0, width, cols):
-        slab = _subset_transform(mid[:, c0 : c0 + cols].astype(np.int32), -1, high, cols)
+        slab = _subset_transform(mid[:, c0 : c0 + cols].astype(np.int32), high, cols)
         best = max(best, int(((weight + (pc[c0] + 1)) * (slab != 0)).max()) - 1)
     return best
-
-
-class MultilinearPolynomial:
-    """Sparse multilinear polynomial with exact rational coefficients.
-
-    Supports the ring operations needed to transcribe displayed polynomials
-    (complemented literals expand as 1 - x); products reduce x*x to x, which
-    is sound on the Boolean cube.
-    """
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: Optional[dict] = None) -> None:
-        self.n = n
-        clean: dict[int, Fraction] = {}
-        for mask, coeff in (terms or {}).items():
-            c = Fraction(coeff)
-            if not 0 <= mask < (1 << n):
-                raise ValueError(f"mask {mask} out of range for n={n}")
-            if c != 0:
-                clean[int(mask)] = c
-        self.terms = clean
-
-    @classmethod
-    def constant(cls, n: int, value) -> "MultilinearPolynomial":
-        return cls(n, {0: Fraction(value)})
-
-    @classmethod
-    def variable(cls, n: int, var: int) -> "MultilinearPolynomial":
-        """The monomial x_{var+1} (0-based variable position)."""
-        if not 0 <= var < n:
-            raise ValueError(f"variable {var} out of range")
-        return cls(n, {1 << (n - 1 - var): Fraction(1)})
-
-    @classmethod
-    def complement_variable(cls, n: int, var: int) -> "MultilinearPolynomial":
-        """1 - x_{var+1}."""
-        return cls.constant(n, 1) - cls.variable(n, var)
-
-    def degree(self) -> int:
-        return max((mask.bit_count() for mask in self.terms), default=0)
-
-    def _binop(self, other, sign: int) -> "MultilinearPolynomial":
-        if isinstance(other, (int, Fraction)):
-            other = MultilinearPolynomial.constant(self.n, other)
-        if self.n != other.n:
-            raise ValueError("arity mismatch")
-        terms = dict(self.terms)
-        for mask, c in other.terms.items():
-            terms[mask] = terms.get(mask, Fraction(0)) + sign * c
-        return MultilinearPolynomial(self.n, terms)
-
-    def __add__(self, other) -> "MultilinearPolynomial":
-        return self._binop(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "MultilinearPolynomial":
-        return self._binop(other, -1)
-
-    def __rsub__(self, other) -> "MultilinearPolynomial":
-        return (-self) + other
-
-    def __neg__(self) -> "MultilinearPolynomial":
-        return MultilinearPolynomial(self.n, {m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other) -> "MultilinearPolynomial":
-        if isinstance(other, (int, Fraction)):
-            return MultilinearPolynomial(
-                self.n, {m: c * other for m, c in self.terms.items()}
-            )
-        if self.n != other.n:
-            raise ValueError("arity mismatch")
-        terms: dict[int, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 | m2
-                terms[m] = terms.get(m, Fraction(0)) + c1 * c2
-        return MultilinearPolynomial(self.n, terms)
-
-    __rmul__ = __mul__
-
-    def evaluate_index(self, index: int) -> Fraction:
-        return sum(
-            (c for mask, c in self.terms.items() if mask & index == mask),
-            Fraction(0),
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultilinearPolynomial)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __repr__(self) -> str:
-        return f"MultilinearPolynomial(n={self.n}, terms={len(self.terms)}, degree={self.degree()})"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [
-                {"mask": mask, "num": str(c.numerator), "den": str(c.denominator)}
-                for mask, c in sorted(self.terms.items())
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "MultilinearPolynomial":
-        terms = {
-            int(t["mask"]): Fraction(int(t["num"]), int(t["den"]))
-            for t in data["terms"]
-        }
-        return cls(int(data["n"]), terms)
-
-
-def interpolate(f: BooleanFunction) -> MultilinearPolynomial:
-    """The unique multilinear polynomial matching f on every input.
-
-    Coefficients of a 0/1-valued table are always integers.
-    """
-    if f.n > INTERPOLATION_CAP:
-        raise ValueError(
-            f"interpolation needs 2^{f.n} coefficients, cap is n={INTERPOLATION_CAP}"
-        )
-    coeffs = mobius_coefficients(f.table())
-    nz = np.flatnonzero(coeffs)
-    return MultilinearPolynomial(
-        f.n, {int(mask): Fraction(int(coeffs[mask])) for mask in nz}
-    )
 
 
 def degree_of(f: BooleanFunction) -> int:
     """Degree of the representing polynomial, without materializing terms."""
     return table_degree(f.table())
-
-
-def verify_represents(p: MultilinearPolynomial, f: BooleanFunction) -> bool:
-    """True iff p equals f pointwise on all 2^n inputs (exact arithmetic)."""
-    if p.n != f.n:
-        raise ValueError("arity mismatch")
-    t = f.table()
-    return all(p.evaluate_index(i) == t[i] for i in range(1 << f.n))
-
-
-def f3_published_quadratic() -> MultilinearPolynomial:
-    """The known degree-2 polynomial representing the builtin F3 fixture."""
-    n = 3
-    x = [MultilinearPolynomial.variable(n, i) for i in range(n)]
-    xb = [MultilinearPolynomial.complement_variable(n, i) for i in range(n)]
-    half = Fraction(1, 2)
-    return (
-        half * (x[0] * x[1] + xb[0] * xb[1])
-        + half * (1 - (x[0] * x[2] + xb[0] * xb[2]))
-        - half * (x[1] * x[2] + xb[1] * xb[2])
-    )
 
 
 def qe_lower_bound(f: BooleanFunction) -> int:
@@ -370,10 +214,6 @@ class RangePolynomial:
                 for c in self.coefficients
             ]
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "RangePolynomial":
-        return cls(tuple(Fraction(int(c["num"]), int(c["den"])) for c in data["coeffs"]))
 
 
 def fit_range_polynomial(values: Sequence[Union[int, Fraction]]) -> RangePolynomial:

@@ -1,5 +1,6 @@
 """Command-line surface: JSON output, exit codes, determinism."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from exactquery import boolfn, cli, lowdeg, qsim
 from exactquery.boolfn import BooleanFunction
 
 
-# CLI stdout, byte for byte (`construct` reports, `verify` and `analyze`)
+# CLI stdout, byte for byte (`construct` reports, tables and polynomials, `verify` and `analyze`)
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -186,6 +187,8 @@ def test_construct_report_stdout_is_golden(capsys, family):
         "construct --family lemma3:3,2 --emit report",
         "construct --family f3k:5 --emit table",  # interleaved triangle blocks: a real transpose
         "construct --family f12 --emit table",
+        "construct --family f9 --emit poly",  # 127 terms
+        "construct --family f12 --emit poly",  # 217 terms
     ],
 )
 def test_stdout_is_golden(capsys, monkeypatch, argv):
@@ -209,6 +212,13 @@ def test_construct_f12_poly(capsys):
     assert code == 0
     degrees = [bin(t["mask"]).count("1") for t in doc["terms"]]
     assert max(degrees) == 6
+
+
+def test_construct_f3k5_poly_digest(capsys):
+    # 9,031 terms, 622 KB: pinned by the sha256 of the stdout instead of a golden file
+    assert cli.main(["construct", "--family", "f3k:5", "--emit", "poly"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == "3c060db995f4205a474636f4937de409dba1185d9a03706abc4ff0f88745f8f6"
 
 
 def test_construct_f45_report_confirmed(capsys):

@@ -15,6 +15,7 @@ from exactquery.boolfn import (
 )
 from exactquery.compose import (
     HybridAlgorithm,
+    Leaf,
     build_decision_tree,
     hybrid_evaluate,
     verify_gap,
@@ -25,6 +26,19 @@ AND2 = BooleanFunction(2, (0, 0, 0, 1))
 
 def random_function(rng, n):
     return BooleanFunction(n, [rng.randint(0, 1) for _ in range(1 << n)])
+
+
+def paths_repeat_no_variable(tree):
+    """True iff no root-to-leaf path of the tree reads a variable twice."""
+    def rec(node, seen):
+        if isinstance(node, Leaf):
+            return True
+        if node.var in seen:
+            return False
+        seen = seen | {node.var}
+        return rec(node.if_zero, seen) and rec(node.if_one, seen)
+
+    return rec(tree.root, frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +59,7 @@ def test_tree_computes_function_and_is_read_once():
         n = rng.randint(1, 4)
         h = random_function(rng, n)
         tree = build_decision_tree(h)
-        assert tree.paths_repeat_no_variable()
+        assert paths_repeat_no_variable(tree)
         assert tree.depth() == deterministic_complexity(h)
         for i in range(1 << n):
             x = InputAssignment.from_index(n, i)

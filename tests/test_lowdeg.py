@@ -10,12 +10,11 @@ from math import comb
 import numpy as np
 import pytest
 
-from exactquery.boolfn import BooleanFunction, InputAssignment, hamming_weight
+from exactquery.boolfn import BooleanFunction, InputAssignment, coerce_input, hamming_weight
 from exactquery import lowdeg, polynomial
 from exactquery.lowdeg import (
     Compose,
     GroupPartition,
-    base_connection_graph,
     build_f3k,
     build_f9,
     build_f12,
@@ -23,7 +22,6 @@ from exactquery.lowdeg import (
     certify,
     connection_pairs,
     connection_value,
-    fixed_pairing_value,
     group_weights,
     iterate_triple,
     lemma3_params,
@@ -126,6 +124,24 @@ def test_partition_mismatch():
 # ---------------------------------------------------------------------------
 # The fixed connection graph
 # ---------------------------------------------------------------------------
+
+def base_connection_graph(part):
+    """The canonical pairing of the fully-colored configuration.
+
+    For three equal groups this is a disjoint triangle per position, one
+    vertex in each group.  Fixing this graph turns the colored-minus-paired
+    count into a genuine quadratic polynomial; on inputs whose colored points
+    pack the leading positions of every group its value coincides with
+    connection_value.
+    """
+    return connection_pairs(InputAssignment(part.n, (1,) * part.n), part)
+
+
+def fixed_pairing_value(x, part):
+    """|x| minus the number of base-graph connections with both ends colored."""
+    x = coerce_input(x, part.n)
+    return sum(x.bits) - sum(x.bits[u] & x.bits[v] for u, v in base_connection_graph(part))
+
 
 def test_base_graph_is_position_triangles():
     graph = base_connection_graph(GroupPartition.equal(3))

@@ -1,4 +1,4 @@
-"""Interpolation, degrees, range polynomials and collapsers."""
+"""Mobius coefficients, degrees, range polynomials and collapsers."""
 
 import random
 import tracemalloc
@@ -8,21 +8,16 @@ from math import comb
 import numpy as np
 import pytest
 
-from exactquery.boolfn import BooleanFunction, named_function
+from exactquery.boolfn import BooleanFunction, InputAssignment, named_function
 from exactquery import polynomial
 from exactquery.polynomial import (
-    MultilinearPolynomial,
-    RangePolynomial,
     collapser_transcription_report,
     degree_of,
-    f3_published_quadratic,
     find_collapser,
     fit_range_polynomial,
-    interpolate,
     kth_finite_difference,
     published_k7_collapser,
     qe_lower_bound,
-    verify_represents,
 )
 
 
@@ -43,38 +38,56 @@ def coefficient_by_subset_sum(f, mask):
     return total
 
 
+def terms(f):
+    """The nonzero coefficients of f, by mask."""
+    coeffs = polynomial.mobius_coefficients(f.table())
+    return {int(mask): int(coeffs[mask]) for mask in np.flatnonzero(coeffs)}
+
+
+def value_at(coeffs, i):
+    """The polynomial at input index i: the sum of the coefficients of the
+    monomials it satisfies, the masks inside i."""
+    masks = np.arange(coeffs.size)
+    return int(coeffs[(masks & i) == masks].sum())
+
+
+def zeta(coeffs):
+    """Values from coefficients by mask: the inverse transform, in int64."""
+    values = np.asarray(coeffs).astype(np.int64)
+    for b in range(values.size.bit_length() - 1):
+        v = values.reshape(-1, 2, 1 << b)
+        v[:, 1, :] += v[:, 0, :]
+    return values
+
+
 # ---------------------------------------------------------------------------
 # Interpolation
 # ---------------------------------------------------------------------------
 
 def test_interpolate_xor2():
     xor2 = BooleanFunction(2, (0, 1, 1, 0))
-    p = interpolate(xor2)
     # mask 2 = x1, mask 1 = x2, mask 3 = x1 x2
-    assert p.terms == {2: Fraction(1), 1: Fraction(1), 3: Fraction(-2)}
-    assert p.degree() == 2
+    assert polynomial.mobius_coefficients(xor2.table()).tolist() == [0, 1, 1, -2]
+    assert degree_of(xor2) == 2
 
 
 def test_interpolate_and_n():
     for n in (2, 4, 6):
         and_n = BooleanFunction(n, [0] * ((1 << n) - 1) + [1])
-        p = interpolate(and_n)
-        assert p.terms == {(1 << n) - 1: Fraction(1)}
-        assert p.degree() == n
+        assert terms(and_n) == {(1 << n) - 1: 1}
+        assert degree_of(and_n) == n
 
 
 def test_degree_fixtures():
     assert degree_of(named_function("F3")) == 2
     assert degree_of(BooleanFunction.constant(4, 1)) == 0
     assert degree_of(BooleanFunction.constant(4, 0)) == 0
-    f3 = named_function("F3")
-    assert interpolate(f3).degree() == 2
+    assert max(mask.bit_count() for mask in terms(named_function("F3"))) == 2
 
 
 def test_interpolation_cap(monkeypatch):
+    # the cap bounds only the CLI's polynomial emission
     monkeypatch.setattr(polynomial, "INTERPOLATION_CAP", 4)
-    with pytest.raises(ValueError):
-        interpolate(BooleanFunction.constant(5, 0))
     assert degree_of(BooleanFunction.constant(5, 0)) == 0  # no cap below MAX_N
 
 
@@ -82,35 +95,34 @@ def test_coefficients_match_subset_sums():
     rng = random.Random(41)
     for _ in range(10):
         f = random_function(rng, 4)
-        p = interpolate(f)
+        coeffs = polynomial.mobius_coefficients(f.table())
         for mask in range(16):
-            assert p.terms.get(mask, 0) == coefficient_by_subset_sum(f, mask)
+            assert coeffs[mask] == coefficient_by_subset_sum(f, mask)
 
 
 def test_round_trip_pointwise():
     rng = random.Random(43)
     for n in (1, 2, 3, 5, 8):
         f = random_function(rng, n)
-        p = interpolate(f)
+        coeffs = polynomial.mobius_coefficients(f.table())
         for i in range(1 << n):
-            assert p.evaluate_index(i) == f.value_at(i)
+            assert value_at(coeffs, i) == f.value_at(i)
 
 
 def test_round_trip_sampled_larger():
     rng = random.Random(47)
     f = random_function(rng, 12)
-    p = interpolate(f)
+    coeffs = polynomial.mobius_coefficients(f.table())
     for _ in range(50):
         i = rng.randrange(1 << 12)
-        assert p.evaluate_index(i) == f.value_at(i)
+        assert value_at(coeffs, i) == f.value_at(i)
 
 
 def test_zeta_inverts_mobius():
     rng = random.Random(53)
     f = random_function(rng, 9)
     coeffs = polynomial.mobius_coefficients(f.table())
-    values = polynomial.evaluate_coefficients(coeffs)
-    assert (values == f.table()).all()
+    assert (zeta(coeffs) == f.table()).all()
 
 
 # ---------------------------------------------------------------------------
@@ -265,51 +277,30 @@ def test_random_functions_round_trip():
     rng = random.Random(59)
     for _ in range(20):
         f = random_function(rng, rng.randint(1, 10))
-        assert verify_represents(interpolate(f), f)
         coeffs = polynomial.mobius_coefficients(f.table())
-        assert (polynomial.evaluate_coefficients(coeffs) == f.table()).all()
+        assert (zeta(coeffs) == f.table()).all()
 
 
 # ---------------------------------------------------------------------------
-# Polynomial arithmetic and representation checks
+# The published F3 quadratic
 # ---------------------------------------------------------------------------
-
-def test_multilinear_arithmetic():
-    n = 2
-    x1 = MultilinearPolynomial.variable(n, 0)
-    x2 = MultilinearPolynomial.variable(n, 1)
-    xor = x1 + x2 - 2 * x1 * x2
-    assert xor.degree() == 2
-    for i, want in enumerate((0, 1, 1, 0)):
-        assert xor.evaluate_index(i) == want
-    # multilinear reduction: squaring a variable changes nothing
-    assert x1 * x1 == x1
-    comp = MultilinearPolynomial.complement_variable(n, 0)
-    assert (x1 + comp).terms == {0: Fraction(1)}
-
 
 def test_published_f3_quadratic_represents_f3():
-    p = f3_published_quadratic()
-    assert p.degree() == 2
-    assert verify_represents(p, named_function("F3"))
+    def quadratic(x1, x2, x3):
+        """The displayed degree-2 polynomial for F3, each complemented
+        literal written as 1 - x."""
+        half = Fraction(1, 2)
+        return (
+            half * (x1 * x2 + (1 - x1) * (1 - x2))
+            + half * (1 - (x1 * x3 + (1 - x1) * (1 - x3)))
+            - half * (x2 * x3 + (1 - x2) * (1 - x3))
+        )
 
-
-def test_verify_represents_rejects_wrong_polynomial():
-    xor2 = BooleanFunction(2, (0, 1, 1, 0))
-    x1 = MultilinearPolynomial.variable(2, 0)
-    x2 = MultilinearPolynomial.variable(2, 1)
-    assert verify_represents(x1 + x2 - 2 * x1 * x2, xor2)
-    assert not verify_represents(x1, xor2)
-    with pytest.raises(ValueError):
-        verify_represents(MultilinearPolynomial.variable(3, 0), xor2)
-
-
-def test_multilinear_json_round_trip():
-    p = f3_published_quadratic()
-    again = MultilinearPolynomial.from_json_dict(p.to_json_dict())
-    assert again == p
-    masks = [t["mask"] for t in p.to_json_dict()["terms"]]
-    assert masks == sorted(masks)
+    f3 = named_function("F3")
+    for i in range(8):
+        assert quadratic(*InputAssignment.from_index(3, i).bits) == f3.value_at(i)
+    # its expansion x3 - x2 x3 - x1 x3 + x1 x2, the unique multilinear form
+    assert terms(f3) == {1: 1, 3: -1, 5: -1, 6: 1}
 
 
 def test_qe_lower_bound():
@@ -347,8 +338,9 @@ def test_fit_passes_through_points_exactly():
 
 def test_range_polynomial_json():
     p = fit_range_polynomial((1, 0, 0, 1))
-    again = RangePolynomial.from_json_dict(p.to_json_dict())
-    assert again == p
+    assert p.to_json_dict() == {
+        "coeffs": [{"num": "1", "den": "1"}, {"num": "-3", "den": "2"}, {"num": "1", "den": "2"}]
+    }
 
 
 def test_finite_difference():
