@@ -282,16 +282,11 @@ def sensitivity(f: BooleanFunction) -> int:
     return int(total.max())
 
 
-def _axis_sweep(
-    cube: np.ndarray, n: int, step: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
-) -> None:
-    """Call ``step(v0, v1, v2)`` once per axis of the flat ``(3,) * n`` cube.
-
-    It runs the depth sweeps of ``_partial_assignment_tables``; the flags
-    cube is no longer swept but built by expanding the truth table one axis
-    at a time.  ``v0``, ``v1`` and ``v2`` are the views of the cube
-    with that axis's digit at 0, 1 and 2, every other digit aligned; step
-    updates ``v2`` in place.
+def _axis_sweep(cube: np.ndarray, n: int) -> None:
+    """One depth sweep of ``_partial_assignment_tables``: ``_relax_depth(v0,
+    v1, v2)`` on each axis of the flat ``(3,) * n`` cube, ``v0``, ``v1`` and
+    ``v2`` being the views with that axis's digit at 0, 1 and 2, every other
+    digit aligned; ``v2`` is updated in place.
     Axes ``0..k-1``, ``k = (n + 1) // 2``, are swept in the cube itself.  The
     other axes are swept in one contiguous transposed copy, which is written
     back at the end, so no view has an inner run shorter than ``3 ** (n // 2)``
@@ -301,12 +296,12 @@ def _axis_sweep(
     k = (n + 1) // 2
     for a in range(k):
         v = cube.reshape(3**a, 3, -1)
-        step(v[:, 0], v[:, 1], v[:, 2])
+        _relax_depth(v[:, 0], v[:, 1], v[:, 2])
     rows = cube.reshape(3**k, -1)
     cols = np.ascontiguousarray(rows.T)
     for a in range(n - k):
         v = cols.reshape(3**a, 3, -1)
-        step(v[:, 0], v[:, 1], v[:, 2])
+        _relax_depth(v[:, 0], v[:, 1], v[:, 2])
     rows[...] = cols.T
 
 
@@ -366,7 +361,7 @@ def _partial_assignment_tables(f: BooleanFunction) -> tuple[np.ndarray, np.ndarr
     before = np.full_like(depth, -1)
     while not np.array_equal(depth, before):
         np.copyto(before, depth)
-        _axis_sweep(depth, n, _relax_depth)
+        _axis_sweep(depth, n)
     return depth, flags
 
 

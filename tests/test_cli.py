@@ -176,6 +176,7 @@ def test_construct_report_stdout_is_golden(capsys, family):
         "verify --suite a1",
         "verify --suite compose",
         "verify --suite lemma2:3",
+        "verify --suite lemma3:15,4",  # n = 3645, the largest member: one batched witness check
         "analyze builtin:F3",
         "analyze builtin:G4",
         "analyze tests/golden/table-random10.json",

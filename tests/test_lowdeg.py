@@ -334,10 +334,80 @@ NON_CONSECUTIVE = {
 }
 
 
+def _value_at(f, i):
+    """Scalar reference: the value of a truth table or a composition at input
+    index i, by recursion over Python integers."""
+    if isinstance(f, tuple):
+        return f[i]
+    total = 0
+    for block in f.blocks:
+        j = 0
+        for var in block:
+            j = (j << 1) | ((i >> (f.n - 1 - var)) & 1)
+        total += _value_at(f.inner, j)
+    return f.outer[total]
+
+
+def _reference_sensitivity(cf):
+    i = coerce_input(cf.witness_input, cf.n).index
+    v = _value_at(cf.structure, i)
+    return sum(_value_at(cf.structure, i ^ (1 << var)) != v for var in range(cf.n))
+
+
+def _input_bits(n, start, stop):
+    """The (stop - start, n) 0/1 matrix of inputs start..stop-1, x1 first."""
+    index = np.arange(start, stop)[:, None]
+    return ((index >> (n - 1 - np.arange(n))) & 1).astype(np.uint8)
+
+
+@pytest.mark.parametrize("build", [build_f9, lambda: build_f3k(5), lambda: build_f3k(7), build_f12, p4_base],
+                         ids=["f9", "f3k:5", "f3k:7", "f12", "p4"])
+def test_values_match_table_on_every_input(build):
+    cf = build()
+    table = lowdeg._table(cf.structure)
+    for start in range(0, 1 << cf.n, 1 << 16):  # 2^16 rows at a time
+        stop = min(start + (1 << 16), 1 << cf.n)
+        assert np.array_equal(lowdeg._values(cf.structure, _input_bits(cf.n, start, stop)), table[start:stop])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [*(lambda k=k: build_f3k(k) for k in range(3, 16, 2)), build_f12,
+     lambda: build_lemma3(3, 1), lambda: build_lemma3(3, 2)],
+    ids=[*(f"f3k:{k}" for k in range(3, 16, 2)), "f12", "lemma3:3,1", "lemma3:3,2"],
+)
+def test_witness_sensitivity_matches_scalar_reference(build):
+    cf = build()
+    assert witness_sensitivity(cf) == _reference_sensitivity(cf) == cf.n
+
+
+def test_witness_sensitivity_peak_memory_at_the_cap():
+    # lemma3:15,4, n = MAX_ITERATED_N = 3645: the (n+1, n) uint8 bit matrix
+    # is 13.3 MB; the leaf gathers add about 9 MB more
+    cf = build_lemma3(15, 4)
+    assert cf.n == lowdeg.MAX_ITERATED_N
+    tracemalloc.start()
+    try:
+        ws = witness_sensitivity(cf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ws == cf.n
+    assert peak <= 32_000_000
+
+
+def test_value_at_rejects_out_of_range_index():
+    cf = build_f3k(3)
+    for i in (512, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            cf.value_at(i)
+
+
 @pytest.mark.parametrize("f", NON_CONSECUTIVE.values(), ids=NON_CONSECUTIVE.keys())
 def test_compose_table_non_consecutive_blocks(f):
-    expected = [lowdeg._value_at(f, i) for i in range(1 << f.n)]
+    expected = [_value_at(f, i) for i in range(1 << f.n)]
     assert lowdeg._table(f).tolist() == expected
+    assert lowdeg._values(f, _input_bits(f.n, 0, 1 << f.n)).tolist() == expected
     for m in range(f.n + 1):
         for start in range(0, 1 << f.n, 1 << m):
             part = lowdeg._table(f, start, start + (1 << m))
