@@ -9,11 +9,8 @@ from .boolfn import (
     compose_function,
     deterministic_complexity,
     enumerate_complement_symmetric_full_d,
-    evaluate,
-    hamming_weight,
     named_function,
     sensitivity,
-    sensitivity_at,
 )
 from .compose import (
     DecisionTree,
@@ -44,7 +41,6 @@ from .polynomial import (
     degree_of,
     find_collapser,
     fit_range_polynomial,
-    qe_lower_bound,
 )
 from .qsim import (
     ExactScalar,

@@ -9,7 +9,7 @@ arrays of length ``2**n`` indexed that way.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -57,12 +57,6 @@ class InputAssignment:
             i = (i << 1) | b
         return i
 
-    def flipped(self, var: int) -> "InputAssignment":
-        """Copy with variable ``var`` (0-based, x1 == 0) negated."""
-        bits = list(self.bits)
-        bits[var] ^= 1
-        return InputAssignment(self.n, tuple(bits))
-
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)
 
@@ -79,10 +73,6 @@ def coerce_input(x, n: int) -> InputAssignment:
     if x.n != n:
         raise ValueError(f"input has {x.n} bits, function takes {n}")
     return x
-
-
-def hamming_weight(x: InputAssignment) -> int:
-    return sum(x.bits)
 
 
 class BooleanFunction:
@@ -121,14 +111,6 @@ class BooleanFunction:
         return cls(n, table)
 
     @classmethod
-    def from_ones(cls, n: int, ones: Iterable) -> "BooleanFunction":
-        table = np.zeros(1 << n, dtype=np.uint8)
-        for one in ones:
-            idx = InputAssignment.from_string(one).index if isinstance(one, str) else int(one)
-            table[idx] = 1
-        return cls(n, table)
-
-    @classmethod
     def constant(cls, n: int, value: int) -> "BooleanFunction":
         return cls(n, np.full(1 << n, value & 1, dtype=np.uint8))
 
@@ -154,9 +136,6 @@ class BooleanFunction:
 
     def ones(self) -> tuple[int, ...]:
         return tuple(int(i) for i in np.flatnonzero(self.table()))
-
-    def complement(self) -> "BooleanFunction":
-        return BooleanFunction(self.n, 1 - self.table())
 
     def __eq__(self, other) -> bool:
         return (
@@ -186,10 +165,6 @@ class BooleanFunction:
         if type(n) is not int:  # a JSON integer: not "3", 3.0 or true
             raise ValueError(f"malformed truth-table JSON: n must be an integer, got {n!r}")
         return cls.from_packed(n, packed)
-
-
-def evaluate(f: BooleanFunction, x) -> int:
-    return f(x)
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +236,6 @@ def complement_symmetric(f: BooleanFunction) -> bool:
     """True iff f(x) equals f applied to the bitwise complement of x, for all x."""
     t = f.table()
     return bool(np.array_equal(t, t[::-1]))
-
-
-def sensitivity_at(f: BooleanFunction, x) -> int:
-    x = coerce_input(x, f.n)
-    i = x.index
-    v = f.value_at(i)
-    return sum(1 for j in range(f.n) if f.value_at(i ^ (1 << (f.n - 1 - j))) != v)
 
 
 def sensitivity(f: BooleanFunction) -> int:

@@ -12,6 +12,7 @@ variables.  Polynomial emission stops at polynomial.INTERPOLATION_CAP.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from typing import Optional
@@ -25,7 +26,15 @@ EXIT_USAGE = 2
 
 
 def _emit(obj: dict) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    """Stream ``obj`` as sorted, 2-space-indented JSON and a newline.
+
+    The encoder's chunks are joined and written 2**16 at a time, so a large
+    document (f3k:7's 543,607 polynomial terms) is never held as one string.
+    """
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj)
+    while batch := "".join(itertools.islice(chunks, 1 << 16)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
 
 
 def _info(message: str) -> None:

@@ -45,16 +45,6 @@ class DecisionTree:
 
         return rec(self.root)
 
-    def evaluate(self, x) -> tuple[int, int]:
-        """Returns (value, number of variables read on the path)."""
-        x = coerce_input(x, self.n)
-        node = self.root
-        reads = 0
-        while isinstance(node, Node):
-            reads += 1
-            node = node.if_one if x.bits[node.var] else node.if_zero
-        return node.value, reads
-
 
 def build_decision_tree(h: BooleanFunction) -> DecisionTree:
     """Materialize an optimal decision tree for h (depth equals exact D(h)).

@@ -174,11 +174,6 @@ def degree_of(f: BooleanFunction) -> int:
     return table_degree(f.table())
 
 
-def qe_lower_bound(f: BooleanFunction) -> int:
-    """Ceiling of half the polynomial degree: a floor on exact query counts."""
-    return (degree_of(f) + 1) // 2
-
-
 # ---------------------------------------------------------------------------
 # Univariate range polynomials
 # ---------------------------------------------------------------------------

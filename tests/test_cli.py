@@ -1,7 +1,9 @@
 """Command-line surface: JSON output, exit codes, determinism."""
 
 import hashlib
+import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -177,6 +179,8 @@ def test_construct_report_stdout_is_golden(capsys, family):
         "verify --suite compose",
         "verify --suite lemma2:3",
         "verify --suite lemma3:15,4",  # n = 3645, the largest member: one batched witness check
+        "verify --suite lemma1",
+        "verify --suite inequalities",
         "analyze builtin:F3",
         "analyze builtin:G4",
         "analyze tests/golden/table-random10.json",
@@ -220,6 +224,28 @@ def test_construct_f3k5_poly_digest(capsys):
     assert cli.main(["construct", "--family", "f3k:5", "--emit", "poly"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digest == "3c060db995f4205a474636f4937de409dba1185d9a03706abc4ff0f88745f8f6"
+
+
+def test_emit_streams_a_large_document(capsys, monkeypatch):
+    # 2**16 terms, 4.5 MB of output: one json.dumps string of it peaks at 45 MB
+    terms = [{"mask": m, "num": str(m % 7 - 3), "den": "1"} for m in range(1 << 16)]
+    doc = {"n": 21, "terms": terms}
+
+    class Discard(io.TextIOBase):
+        def write(self, text):
+            return len(text)
+
+    monkeypatch.setattr("sys.stdout", Discard())
+    tracemalloc.start()
+    try:
+        cli._emit(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8_000_000
+    monkeypatch.undo()
+    cli._emit(doc)
+    assert capsys.readouterr().out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def test_construct_f45_report_confirmed(capsys):

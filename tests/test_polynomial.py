@@ -17,7 +17,6 @@ from exactquery.polynomial import (
     fit_range_polynomial,
     kth_finite_difference,
     published_k7_collapser,
-    qe_lower_bound,
 )
 
 
@@ -301,13 +300,6 @@ def test_published_f3_quadratic_represents_f3():
         assert quadratic(*InputAssignment.from_index(3, i).bits) == f3.value_at(i)
     # its expansion x3 - x2 x3 - x1 x3 + x1 x2, the unique multilinear form
     assert terms(f3) == {1: 1, 3: -1, 5: -1, 6: 1}
-
-
-def test_qe_lower_bound():
-    assert qe_lower_bound(named_function("F3")) == 1
-    assert qe_lower_bound(BooleanFunction.constant(3, 1)) == 0
-    and3 = BooleanFunction(3, [0] * 7 + [1])
-    assert qe_lower_bound(and3) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -294,7 +294,7 @@ def test_relabel_rejects_asymmetric_function():
 
 def test_relabel_rejects_conflicting_classes_on_shared_index():
     # symmetric, but distinguishes two classes that a2 sends to the same index
-    f = BooleanFunction.from_ones(4, ["0000", "1111"])
+    f = BooleanFunction(4, [1] + [0] * 14 + [1])
     with pytest.raises(ValueError):
         relabel_outputs(a2(), f)
 
