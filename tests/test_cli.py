@@ -194,6 +194,12 @@ def test_construct_report_stdout_is_golden(capsys, family):
         "construct --family f12 --emit table",
         "construct --family f9 --emit poly",  # 127 terms
         "construct --family f12 --emit poly",  # 217 terms
+        "simulate --alg builtin:a1 --input 011 --trace",
+        "simulate --alg builtin:a2 --input 0101 --trace --float",
+        # rational and sqrt2 parts with different denominators: "2/3 - 1/6 r2";
+        # the float run takes the other input, since option words do not name a golden
+        "simulate --alg tests/golden/alg-nondyadic.json --input 1 --trace",
+        "simulate --alg tests/golden/alg-nondyadic.json --input 0 --trace --float",
     ],
 )
 def test_stdout_is_golden(capsys, monkeypatch, argv):
