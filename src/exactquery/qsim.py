@@ -1,10 +1,11 @@
 """Exact simulator for alternating unitary / sign-query algorithms.
 
 Amplitudes live in the field Q(sqrt 2): every scalar is ``a + b*sqrt(2)``
-with rational a, b, which covers all matrix entries the builtin algorithms
-need (0, +-1, +-1/2, +-1/sqrt2) and makes "probability exactly 1" a decidable
-comparison.  A sign query multiplies amplitude i by -1 exactly when the
-variable assigned to that amplitude is 1.
+with rational a, b, stored as one reduced integer triple (a + b*sqrt(2)) / d.
+That covers all matrix entries the builtin algorithms need (0, +-1, +-1/2,
++-1/sqrt2) and makes "probability exactly 1" a decidable comparison.  A sign
+query multiplies amplitude i by -1 exactly when the variable assigned to that
+amplitude is 1.
 
 ``simulate`` is the only code that applies layers; ``is_exact`` and
 ``classify_final`` read ``final_states``, its result on every input.  Float
@@ -26,90 +27,76 @@ from .boolfn import BooleanFunction, InputAssignment, coerce_input, complement_s
 FLOAT_TOLERANCE = 1e-9
 
 
-class ExactScalar:
-    """a + b*sqrt(2) with rational components; closed under ring operations.
+def _ratio(n: int, d: int) -> str:
+    """n/d in lowest terms, written as ``str(Fraction(n, d))`` writes it."""
+    g = gcd(n, d)
+    return f"{n // g}" if g == d else f"{n // g}/{d // g}"
 
-    Components are kept as reduced integer pairs, which keeps the hot
-    simulation loop off the Fraction machinery.
+
+class ExactScalar:
+    """(a + b*sqrt(2)) / d over integers; closed under ring operations.
+
+    The triple is kept reduced, d > 0 and gcd(a, b, d) == 1, so equal
+    scalars have equal triples.  Integer arithmetic over the common
+    denominator keeps the hot simulation loop off the Fraction machinery;
+    ``a`` and ``b`` give the rational components as Fractions.
     """
 
-    __slots__ = ("an", "ad", "bn", "bd")
+    __slots__ = ("an", "bn", "d")
 
-    def __init__(self, an: int = 0, ad: int = 1, bn: int = 0, bd: int = 1) -> None:
-        # Reduce both pairs to lowest terms with a positive denominator;
-        # written out inline because this runs once per ring operation.
-        if ad == 0 or bd == 0:
+    def __init__(self, a: int = 0, b: int = 0, d: int = 1) -> None:
+        # one gcd, its sign taken from d so that d ends positive; this runs
+        # once per ring operation
+        if d == 0:
             raise ZeroDivisionError("zero denominator")
-        if an == 0:
-            ad = 1
-        else:
-            if ad < 0:
-                an, ad = -an, -ad
-            g = gcd(an, ad)
-            if g != 1:
-                an, ad = an // g, ad // g
-        if bn == 0:
-            bd = 1
-        else:
-            if bd < 0:
-                bn, bd = -bn, -bd
-            g = gcd(bn, bd)
-            if g != 1:
-                bn, bd = bn // g, bd // g
-        self.an, self.ad, self.bn, self.bd = an, ad, bn, bd
+        g = gcd(a, b, d)
+        if d < 0:
+            g = -g
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+        self.an, self.bn, self.d = a, b, d
 
     @classmethod
     def of(cls, a, b=0) -> "ExactScalar":
         a = Fraction(a)
         b = Fraction(b)
-        return cls(a.numerator, a.denominator, b.numerator, b.denominator)
+        return cls(
+            a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator
+        )
 
     @property
     def a(self) -> Fraction:
-        return Fraction(self.an, self.ad)
+        return Fraction(self.an, self.d)
 
     @property
     def b(self) -> Fraction:
-        return Fraction(self.bn, self.bd)
+        return Fraction(self.bn, self.d)
 
     def __add__(self, other: "ExactScalar") -> "ExactScalar":
         return ExactScalar(
-            self.an * other.ad + other.an * self.ad,
-            self.ad * other.ad,
-            self.bn * other.bd + other.bn * self.bd,
-            self.bd * other.bd,
+            self.an * other.d + other.an * self.d,
+            self.bn * other.d + other.bn * self.d,
+            self.d * other.d,
         )
 
     def __sub__(self, other: "ExactScalar") -> "ExactScalar":
         return ExactScalar(
-            self.an * other.ad - other.an * self.ad,
-            self.ad * other.ad,
-            self.bn * other.bd - other.bn * self.bd,
-            self.bd * other.bd,
+            self.an * other.d - other.an * self.d,
+            self.bn * other.d - other.bn * self.d,
+            self.d * other.d,
         )
 
     def __neg__(self) -> "ExactScalar":
         out = ExactScalar.__new__(ExactScalar)
-        out.an, out.ad, out.bn, out.bd = -self.an, self.ad, -self.bn, self.bd
+        out.an, out.bn, out.d = -self.an, -self.bn, self.d
         return out
 
     def __mul__(self, other: "ExactScalar") -> "ExactScalar":
         # (a1 + b1 r)(a2 + b2 r) = a1 a2 + 2 b1 b2 + (a1 b2 + b1 a2) r
-        if self.bn == 0:
-            return ExactScalar(
-                self.an * other.an, self.ad * other.ad, self.an * other.bn, self.ad * other.bd
-            )
-        if other.bn == 0:
-            return ExactScalar(
-                self.an * other.an, self.ad * other.ad, self.bn * other.an, self.bd * other.ad
-            )
         return ExactScalar(
-            self.an * other.an * self.bd * other.bd
-            + 2 * self.bn * other.bn * self.ad * other.ad,
-            self.ad * other.ad * self.bd * other.bd,
-            self.an * other.bn * self.bd * other.ad
-            + self.bn * other.an * self.ad * other.bd,
-            self.ad * other.bd * self.bd * other.ad,
+            self.an * other.an + 2 * self.bn * other.bn,
+            self.an * other.bn + self.bn * other.an,
+            self.d * other.d,
         )
 
     def is_zero(self) -> bool:
@@ -119,37 +106,36 @@ class ExactScalar:
         return (
             isinstance(other, ExactScalar)
             and self.an == other.an
-            and self.ad == other.ad
             and self.bn == other.bn
-            and self.bd == other.bd
+            and self.d == other.d
         )
 
     def __hash__(self) -> int:
-        return hash((self.an, self.ad, self.bn, self.bd))
+        return hash((self.an, self.bn, self.d))
 
     def __float__(self) -> float:
-        return self.an / self.ad + (self.bn / self.bd) * sqrt(2)
+        # int / int rounds correctly, so this is float(a) + float(b) * sqrt(2)
+        return self.an / self.d + (self.bn / self.d) * sqrt(2)
 
     def __str__(self) -> str:
-        a = f"{self.an}" if self.ad == 1 else f"{self.an}/{self.ad}"
-        broot = f"{self.bn}" if self.bd == 1 else f"{self.bn}/{self.bd}"
-        if self.bn == 0:
+        # str(self.a) and str(self.b), without building Fractions: this runs
+        # for every printed amplitude
+        a = _ratio(self.an, self.d)
+        if not self.bn:
             return a
-        if self.an == 0:
-            return f"{broot} r2"
-        if self.bn > 0:
-            return f"{a} + {broot} r2"
-        neg = f"{-self.bn}" if self.bd == 1 else f"{-self.bn}/{self.bd}"
-        return f"{a} - {neg} r2"
+        b = _ratio(abs(self.bn), self.d)
+        if not self.an:
+            return f"-{b} r2" if self.bn < 0 else f"{b} r2"
+        return f"{a} - {b} r2" if self.bn < 0 else f"{a} + {b} r2"
 
     def __repr__(self) -> str:
         return f"ExactScalar({self})"
 
 
 ZERO = ExactScalar()
-ONE = ExactScalar.of(1)
-HALF = ExactScalar.of(Fraction(1, 2))
-INV_SQRT2 = ExactScalar.of(0, Fraction(1, 2))  # 1/sqrt2 == (1/2) sqrt2
+ONE = ExactScalar(1)
+HALF = ExactScalar(1, 0, 2)
+INV_SQRT2 = ExactScalar(0, 1, 2)  # 1/sqrt2 == (1/2) sqrt2
 
 # The rational part may be a decimal literal; the lookahead stops it from
 # ending inside a number, so "12 r2" cannot split into 1 + 2 r2.  Exponents

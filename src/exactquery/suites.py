@@ -361,13 +361,13 @@ def run_suite(spec: str, count: Optional[int] = None, seed: Optional[int] = None
     if count is not None and count < 1:
         raise ValueError(f"count must be a positive integer, got {count}")
     options = {key: value for key, value in (("count", count), ("seed", seed)) if value is not None}
-    name, _, arg = spec.partition(":")
-    if name in _SAMPLED and not arg:
+    name, colon, arg = spec.partition(":")
+    if name in _SAMPLED and not colon:
         return _SAMPLED[name](**options)
     if name in _PARAMETRIC:
         usage, suite = _PARAMETRIC[name]
         params = parse_params(usage, arg)
-    elif name in _PLAIN and not arg:
+    elif name in _PLAIN and not colon:
         suite, params = _PLAIN[name], []
     else:
         names = [*_PLAIN, *_SAMPLED] + [usage for usage, _ in _PARAMETRIC.values()]

@@ -569,6 +569,10 @@ USAGE_ERRORS = [
     usage("simulate-query-not-list", "simulate --alg FILE --input 0",
           "malformed algorithm JSON: layer 1: query must be a list of integers or null, got 3",
           _one_layer({"query": 3})),
+    # a trailing colon is not the plain suite
+    *(usage(f"verify-trailing-colon-{suite}", f"verify --suite {suite}:",
+            f"unknown suite: '{suite}:'; suites are")
+      for suite in ("a1", "compose", "lemma1", "inequalities")),
     *(usage(f"construct-malformed-{spec}", f"construct --family {spec}",
             f"expected {family} with integer parameters")
       for spec, family in (("f3k:abc", "f3k:K"), ("lemma3:3", "lemma3:K,T"),

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from math import gcd, sqrt
 
 import pytest
 
@@ -50,10 +51,51 @@ def test_scalar_ring_identities():
 
 
 def test_scalar_reduction_and_equality():
-    assert ExactScalar(2, 4) == ExactScalar(1, 2)
-    assert ExactScalar(1, -2) == ExactScalar(-1, 2)
+    # ExactScalar(a, b, d) is (a + b sqrt2) / d
+    assert ExactScalar(2, 4, 6) == ExactScalar(1, 2, 3)
+    assert ExactScalar(1, 1, -2) == ExactScalar(-1, -1, 2)
+    third = ExactScalar(3, 0, -6)
+    assert (third.an, third.bn, third.d) == (-1, 0, 2)
+    assert ExactScalar(0, 0, -5) == ZERO
     assert ExactScalar.of(Fraction(1, 2)).a == Fraction(1, 2)
-    assert hash(ExactScalar(2, 4)) == hash(ExactScalar(1, 2))
+    assert hash(ExactScalar(2, 4, 6)) == hash(ExactScalar(1, 2, 3))
+    with pytest.raises(ZeroDivisionError):
+        ExactScalar(1, 0, 0)
+
+
+def test_scalar_arithmetic_matches_fraction_pairs():
+    # reference: the pair (a, b) stands for a + b sqrt2, in Fraction arithmetic
+    rng = random.Random(22)
+    pairs = [
+        (Fraction(rng.randint(-12, 12), rng.randint(1, 12)),
+         Fraction(rng.randint(-12, 12), rng.randint(1, 12)))
+        for _ in range(300)
+    ]
+    for (a1, b1), (a2, b2) in zip(pairs, pairs[1:]):
+        x, y = ExactScalar.of(a1, b1), ExactScalar.of(a2, b2)
+        assert (x == y) == ((a1, b1) == (a2, b2))
+        for got, (a, b) in [
+            (x, (a1, b1)),
+            (x + y, (a1 + a2, b1 + b2)),
+            (x - y, (a1 - a2, b1 - b2)),
+            (x * y, (a1 * a2 + 2 * b1 * b2, a1 * b2 + b1 * a2)),
+            (-x, (-a1, -b1)),
+        ]:
+            assert (got.a, got.b) == (a, b)
+            assert got.d > 0 and gcd(got.an, got.bn, got.d) == 1
+            k = rng.choice((-3, -1, 2, 5))  # an unreduced triple of the same value
+            want = ExactScalar(
+                k * a.numerator * b.denominator, k * b.numerator * a.denominator,
+                k * a.denominator * b.denominator,
+            )
+            assert got == want and hash(got) == hash(want)
+            assert got.is_zero() == (a == b == 0)
+            assert str(got) == (
+                str(a) if not b else f"{b} r2" if not a
+                else f"{a} + {b} r2" if b > 0 else f"{a} - {-b} r2"
+            )
+            assert parse_scalar(str(got)) == got
+            assert float(got) == float(a) + float(b) * sqrt(2)
 
 
 def test_scalar_strings():
