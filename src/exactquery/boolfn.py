@@ -83,13 +83,17 @@ class BooleanFunction:
     def __init__(self, n: int, table) -> None:
         if not 1 <= n <= MAX_N:
             raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
-        arr = np.asarray(table, dtype=np.uint8)
+        arr = np.asarray(table)
         if arr.shape != (1 << n,):
             raise ValueError(f"table must have length {1 << n}")
-        if arr.max(initial=0) > 1:
+        # checked before the cast to uint8, which would wrap 257 to 1 and
+        # truncate 0.5 to 0; an unsigned table needs only its maximum, and a
+        # bool one no check
+        kind = arr.dtype.kind
+        if kind != "b" and not (arr.max() <= 1 if kind == "u" else ((arr == 0) | (arr == 1)).all()):
             raise ValueError("table entries must be 0 or 1")
         self.n = n
-        self._packed = np.packbits(arr).tobytes()
+        self._packed = np.packbits(arr.astype(np.uint8, copy=False)).tobytes()
         self._table: Optional[np.ndarray] = None
 
     @classmethod

@@ -27,15 +27,18 @@ from .boolfn import BooleanFunction
 INTERPOLATION_CAP = 24
 
 # table_degree's stage-1 blocks (int16) and stage-2 slabs (int32) take about
-# 1 MB of cache each.  Stage 1 has three steps, none of which transposes a
-# block: the 4 lowest bits' passes come from a lookup table of every 16-entry
-# transform (int8, |value| <= 8), the next 3 bits' passes run in int8
-# (|value| <= 64 after 7 passes) and the rest in int16, which holds every
-# value after at most 15 passes.  numpy 2.4.6 copies every operand of a pass
-# through its ufunc buffer when the pass's contiguous run is shorter than
-# half the buffer size (8192 elements by default): on 2^19 int16 entries,
-# runs of 1024-2048 cost 0.29-0.37 ns a subtraction and runs from 4096 on
-# 0.09-0.13 ns.  So every pass runs with the buffer lowered to _BUFSIZE.
+# 1 MB of cache each.  Stage 1 has three steps: the 4 lowest bits' passes
+# come from a lookup table of every 16-entry transform (int8, |value| <= 8),
+# the next 3 bits' passes run in int8 (|value| <= 64 after 7 passes) and the
+# rest in int16, which holds every value after at most 15 passes.  The lookup
+# gathers a block's rows with index bits 4-6 outermost, so their passes run
+# on runs of 1/8 of the block rather than of 16-64 entries, and the widening
+# copy to int16 puts the block back in index order.  numpy 2.4.6 copies
+# every operand of a pass through its ufunc buffer when the pass's
+# contiguous run is shorter than half the buffer size (8192 elements by
+# default): on 2^19 int16 entries, runs of 1024-2048 cost 0.29-0.37 ns a
+# subtraction and runs from 4096 on 0.09-0.13 ns.  So every pass runs with
+# the buffer lowered to _BUFSIZE.
 _LOW_BITS = 15
 _BLOCK = 1 << 19
 _SLAB = 1 << 18
@@ -120,15 +123,17 @@ def table_degree(
     hi * 2^L + lo, L = min(n, 15), is row hi and column lo of one int16
     array.  Stage 1 runs the L low-bit passes on blocks of whole rows: it
     packs each 16 entries into a uint16 and looks up their transform (the 4
-    lowest bits), then runs the next 3 bits' passes in int8 and the rest in
+    lowest bits) in transposed order, bits 4-6 outermost, so that those 3
+    bits' passes run in int8 on long runs; one copy widens the block to
+    int16 and puts it back in index order, and the rest of the passes run in
     int16.  Stage 2 runs the high-bit passes in int32 on one column slab at
     a time, keeping the largest popcount(hi) + popcount(lo) over the slab's
     nonzero entries.  Every pass runs with numpy's ufunc buffer lowered to
     ``_BUFSIZE`` elements, restored on return: a run shorter than half the
     default 8192 goes through the buffer, and runs of 1024-2048 int16 then
     cost 0.29-0.37 ns a subtraction against 0.09-0.13 ns unbuffered (numpy
-    2.4.6).  A table with n < 4 gets dummy high
-    variables, which leave the degree unchanged.
+    2.4.6).  A table with n < 4 gets dummy high variables, which leave the
+    degree unchanged.
 
     Raises ValueError if an entry is not 0 or 1 (checked block by block, as
     packing would read any nonzero entry as 1).
@@ -150,12 +155,13 @@ def table_degree(
         rows = table(start, start + block)
         if rows.max() > 1 or rows.min() < 0:
             raise ValueError("table entries must be 0 or 1")
-        seg8 = np.take(lookup, np.packbits(rows).view(">u2"), axis=0).reshape(-1)
-        _subset_transform(seg8, narrow - 4, 1 << 4)
+        ids = np.packbits(rows).view(">u2").reshape(-1, 1 << (narrow - 4))
+        seg8 = np.take(lookup, ids.T, axis=0)
+        _subset_transform(seg8, narrow - 4, seg8[0].size)
         seg = mid.reshape(-1)[start : start + block]
-        seg[...] = seg8
+        seg.reshape(ids.shape + (16,))[...] = seg8.transpose(1, 0, 2)
         _subset_transform(seg, low - narrow, 1 << narrow)
-    del rows, seg8
+    del rows, ids, seg8
 
     pc = _popcount16()
     cols = min(width, _SLAB >> high)

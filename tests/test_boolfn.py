@@ -90,6 +90,35 @@ def test_table_construction_and_lookup():
         f("101")
 
 
+@pytest.mark.parametrize(
+    "table",
+    [
+        np.array([0, 257]),  # a cast to uint8 wraps it to [0, 1]
+        np.array([256, 1]),
+        np.array([0, -255]),
+        [0, 0.5],  # a cast truncates it to [0, 0]
+        np.array([0.0, 0.9]),
+        np.array([0.0, np.nan]),
+        [0, -1],  # a cast from a list raises OverflowError
+        np.array([0, 2], dtype=np.uint8),
+        np.array([0, 2], dtype=np.uint16),
+        np.array(["0", "1"]),
+    ],
+    ids=["257", "256", "-255", "list-half", "0.9", "nan", "list-minus-1", "uint8-2", "uint16-2", "str"],
+)
+def test_table_entries_other_than_0_and_1_are_refused(table):
+    with pytest.raises(ValueError, match="table entries must be 0 or 1"):
+        BooleanFunction(1, table)
+
+
+def test_table_accepts_every_dtype_holding_0_and_1():
+    expected = BooleanFunction(2, np.array([0, 1, 1, 0], dtype=np.uint8))
+    for table in ([0, 1, 1, 0], [False, True, True, False], [0.0, 1.0, 1.0, 0.0]):
+        for dtype in (None, bool, np.uint8, np.int8, np.int64, np.uint32, np.float64):
+            assert BooleanFunction(2, np.array(table, dtype=dtype)) == expected
+        assert BooleanFunction(2, table) == expected
+
+
 def test_table_json_round_trip():
     rng = random.Random(7)
     for n in (1, 3, 4, 9):

@@ -157,8 +157,9 @@ def reference_passes(table, bits):
 
 def reference_degree(table):
     """The full reference transform, then the largest popcount."""
-    coeffs = reference_passes(table, table.size.bit_length() - 1)
-    return max((bin(int(mask)).count("1") for mask in np.flatnonzero(coeffs)), default=0)
+    n = table.size.bit_length() - 1
+    masks = np.flatnonzero(reference_passes(table, n))
+    return int(sum((masks >> b) & 1 for b in range(n + 1)).max(initial=0))
 
 
 def kernel_tables(rng, n):
@@ -182,18 +183,23 @@ def kernel_tables(rng, n):
     }
 
 
-def shrink_blocks(monkeypatch):
-    """5 low bits, blocks of 4 rows, slabs of 2^13 entries: small tables then
-    cross many blocks and slabs, every block goes from the lookup (bits 0-3)
-    through one int8 pass (bit 4) into the int16 array, and stage 2 runs
-    from n = 6.  Stage 1's int16 passes run unshrunk, from n = 8."""
-    monkeypatch.setattr(polynomial, "_LOW_BITS", 5)
-    monkeypatch.setattr(polynomial, "_BLOCK", 1 << 7)
+def shrink_blocks(monkeypatch, low_bits=5):
+    """``low_bits`` low bits, blocks of 4 rows, slabs of 2^13 entries: small
+    tables then cross many blocks and slabs, and stage 2 runs from
+    n = low_bits + 1.  With 5 low bits every block goes from the lookup
+    (bits 0-3) through one int8 pass (bit 4) into the int16 array; with 7
+    it goes through the three int8 passes of bits 4-6, on the lookup's
+    transposed order, as unshrunk.  Stage 1's int16 passes run only
+    unshrunk, from n = 8."""
+    monkeypatch.setattr(polynomial, "_LOW_BITS", low_bits)
+    monkeypatch.setattr(polynomial, "_BLOCK", 4 << low_bits)
     monkeypatch.setattr(polynomial, "_SLAB", 1 << 13)
 
 
-@pytest.mark.parametrize("shrunk", [False, True])
-@pytest.mark.parametrize("n", range(19))
+# unshrunk up to n = 20, so that a table spans two stage-1 blocks of 2^19
+@pytest.mark.parametrize(
+    "n, shrunk", [(n, shrunk) for n in range(21) for shrunk in (False, True) if n < 19 or not shrunk]
+)
 def test_table_degree_matches_reference(n, shrunk, monkeypatch):
     if shrunk:
         shrink_blocks(monkeypatch)
@@ -207,6 +213,32 @@ def test_table_degree_matches_reference(n, shrunk, monkeypatch):
     if n >= 7:
         assert np.abs(reference_passes(tables["parity"], 7)).max() == 64
     assert polynomial.table_degree(tables["parity"]) == n
+
+
+@pytest.mark.parametrize("n", range(19))
+def test_table_degree_matches_reference_at_7_low_bits(n, monkeypatch):
+    shrink_blocks(monkeypatch, 7)
+    for name, table in kernel_tables(np.random.default_rng(200 + n), n).items():
+        assert polynomial.table_degree(table) == reference_degree(table), name
+
+
+# shrunk to 5 low bits, a 2^13-entry slab holds a whole column up to n = 18
+@pytest.mark.parametrize(
+    "n, low_bits", [(8, None), (8, 5), (8, 7), (20, None), (18, 5), (20, 7)]
+)
+def test_table_degree_top_monomial_on_bits_3_to_7(n, low_bits, monkeypatch):
+    # (x4 x5 x6) XOR (x3 XOR x7) by index bit: its only monomial of degree 5
+    # spans index bits 3-7, across the lookup (bit 3), the transposed int8
+    # passes (bits 4-6) and the first pass after them (bit 7), so a wrong
+    # axis order in the transposed copy shows as a wrong degree
+    if low_bits:
+        shrink_blocks(monkeypatch, low_bits)
+    idx = np.arange(1 << n)
+    bit = lambda b: (idx >> b) & 1
+    table = ((bit(4) & bit(5) & bit(6)) ^ bit(3) ^ bit(7)).astype(np.uint8)
+    assert reference_degree(table) == 5
+    assert polynomial.table_degree(table) == 5
+    assert polynomial.table_degree(lambda start, stop: table[start:stop], n) == 5
 
 
 def test_mobius16_lookup_matches_reference():
