@@ -177,6 +177,10 @@ def test_construct_report_stdout_is_golden(capsys, family):
     [
         "verify --suite a1",
         "verify --suite compose",
+        # a1 relabelled onto all 16 complement-symmetric functions, a2 onto table2's 8
+        "verify --suite relabel3",
+        "verify --suite relabel4",
+        "verify --suite table2",
         "verify --suite lemma2:3",
         "verify --suite lemma3:15,4",  # n = 3645, the largest member: one batched witness check
         "verify --suite lemma1",

@@ -291,14 +291,6 @@ def test_classify_a2_shares_indices_between_classes():
     assert assignment.index_of[0b0000] == assignment.index_of[0b0011] == 0
 
 
-def test_classify_rejects_non_deterministic_algorithm():
-    h = HALF
-    hh = UnitaryMatrix([[h, h, h, h], [h, -h, h, -h], [h, h, -h, -h], [h, -h, -h, h]])
-    alg = QueryAlgorithm(4, 3, (hh,), (0, 0, 0, 1))
-    with pytest.raises(ValueError):
-        classify_final(alg)
-
-
 def test_relabel_all_symmetric_3var_functions():
     alg = a1()
     half, full = 4, 7
@@ -328,17 +320,35 @@ def test_relabel_a2_for_table2_members():
         assert relabeled.query_count == 2
 
 
-def test_relabel_rejects_asymmetric_function():
-    x1 = BooleanFunction(3, (0, 0, 0, 0, 1, 1, 1, 1))
-    with pytest.raises(ValueError):
-        relabel_outputs(a1(), x1)
+def _hadamard_sandwich():
+    """H, a sign query on x1 for amplitude 0, H: input 0 ends on index 0, input 1 on index 1."""
+    r = INV_SQRT2
+    h = UnitaryMatrix([[r, r], [r, -r]])
+    return QueryAlgorithm(2, 1, (h, QueryLayer(2, (0, None)), h), (0, 1))
 
 
-def test_relabel_rejects_conflicting_classes_on_shared_index():
-    # symmetric, but distinguishes two classes that a2 sends to the same index
-    f = BooleanFunction(4, [1] + [0] * 14 + [1])
-    with pytest.raises(ValueError):
-        relabel_outputs(a2(), f)
+@pytest.mark.parametrize(
+    "alg, table, message",
+    [
+        pytest.param(a1(), named_function("table2:1").table(),
+                     "algorithm and function arity mismatch", id="arity-mismatch"),
+        pytest.param(a1(), (0, 0, 0, 0, 1, 1, 1, 1),
+                     "function is not complement-symmetric", id="not-complement-symmetric"),
+        # H x H alone spreads input 000 over all four indices
+        pytest.param(QueryAlgorithm(4, 3, (_u0(),), (0, 0, 0, 1)), (0,) * 8,
+                     "final state on input 000 is not a single basis state", id="not-one-basis-state"),
+        pytest.param(_hadamard_sandwich(), (1, 1),
+                     "complement class of 0 lands on two different indices", id="class-split"),
+        # symmetric, but distinguishes the classes of 0000 and 0011, which a2 sends to index 0
+        pytest.param(a2(), (1,) + (0,) * 14 + (1,),
+                     "two complement classes with different values share a basis index",
+                     id="shared-index-conflict"),
+    ],
+)
+def test_relabel_outputs_refusals(alg, table, message):
+    f = BooleanFunction(len(table).bit_length() - 1, table)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        relabel_outputs(alg, f)
 
 
 # ---------------------------------------------------------------------------
