@@ -51,7 +51,6 @@ from .qsim import (
     a1,
     a2,
     check_unitary,
-    classify_final,
     final_states,
     is_exact,
     relabel_outputs,

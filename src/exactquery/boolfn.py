@@ -9,7 +9,7 @@ arrays of length ``2**n`` indexed that way.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -109,15 +109,6 @@ class BooleanFunction:
             raise ValueError("padding bits after the truth table must be zero")
         return cls(n, bits[: 1 << n])
 
-    @classmethod
-    def from_callable(cls, n: int, fn: Callable[[tuple[int, ...]], int]) -> "BooleanFunction":
-        table = [int(fn(InputAssignment.from_index(n, i).bits)) & 1 for i in range(1 << n)]
-        return cls(n, table)
-
-    @classmethod
-    def constant(cls, n: int, value: int) -> "BooleanFunction":
-        return cls(n, np.full(1 << n, value & 1, dtype=np.uint8))
-
     def table(self) -> np.ndarray:
         """Unpacked truth table as a read-only uint8 array (cached)."""
         if self._table is None:
@@ -137,9 +128,6 @@ class BooleanFunction:
 
     def __call__(self, x) -> int:
         return self.value_at(coerce_input(x, self.n).index)
-
-    def ones(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.flatnonzero(self.table()))
 
     def __eq__(self, other) -> bool:
         return (
@@ -175,16 +163,6 @@ class BooleanFunction:
 # Named fixtures
 # ---------------------------------------------------------------------------
 
-def _f3_formula(bits: tuple[int, ...]) -> int:
-    x1, x2, x3 = bits
-    return int((not (x1 ^ x2)) and (x1 ^ x3))
-
-
-def _g4_formula(bits: tuple[int, ...]) -> int:
-    x1, x2, x3, x4 = bits
-    return int((x1 ^ x2) and (x3 ^ x4))
-
-
 # Eight 3-variable functions with the full 2-vs-3 query gap, truth tables
 # listed by input index 000..111.
 TABLE1_COLUMNS: tuple[tuple[int, ...], ...] = (
@@ -216,9 +194,11 @@ def named_function(name: str) -> BooleanFunction:
     """Builtin functions: F3, G4, table1:i and table2:i with i in 1..8."""
     low = name.strip().lower()
     if low == "f3":
-        return BooleanFunction.from_callable(3, _f3_formula)
+        # (x1 == x2) and (x1 != x3): 1 on 001 and 110
+        return BooleanFunction(3, TABLE1_COLUMNS[1])
     if low == "g4":
-        return BooleanFunction.from_callable(4, _g4_formula)
+        # (x1 != x2) and (x3 != x4)
+        return BooleanFunction(4, TABLE2_COLUMNS[0])
     for prefix, columns in (("table1:", TABLE1_COLUMNS), ("table2:", TABLE2_COLUMNS)):
         if low.startswith(prefix):
             try:
@@ -418,10 +398,10 @@ def _proves_full_depth(c: np.ndarray, budget: Optional[int] = None) -> bool:
     return False
 
 
-def deterministic_complexity(f: BooleanFunction, cap: int = DEFAULT_DCAP) -> Optional[int]:
-    """Exact decision-tree depth of f: None above the cap, ValueError above MAX_DCAP.
+def deterministic_complexity(f: BooleanFunction) -> int:
+    """Exact decision-tree depth of f; ValueError above MAX_DCAP variables.
 
-    The checks run in that order, then the restriction search of
+    The refusal comes first, then the restriction search of
     ``_proves_full_depth`` on f's multilinear coefficients, then the sweep,
     so the refusal holds even where the degree would settle the depth.  The
     search's first step is the degree bound: D(f) = n when f depends on
@@ -435,8 +415,6 @@ def deterministic_complexity(f: BooleanFunction, cap: int = DEFAULT_DCAP) -> Opt
     and for the few of depth n that the search gives up on.
     """
     n = f.n
-    if n > cap:
-        return None
     if n > MAX_DCAP:
         raise ValueError(f"exact depth needs 3**n states; capped at n={MAX_DCAP}, got n={n}")
     from . import polynomial
@@ -468,7 +446,7 @@ def enumerate_complement_symmetric_full_d(n: int) -> list[BooleanFunction]:
         raise ValueError(f"enumeration supported for n in {{3, 4}}, got {n}")
     found = [
         f for f in complement_symmetric_functions(n)
-        if deterministic_complexity(f, cap=n) == n
+        if deterministic_complexity(f) == n
     ]
     found.sort(key=lambda g: tuple(g.table()))
     return found
@@ -571,9 +549,10 @@ class ComplexityReport:
 
 
 def complexity_report(f: BooleanFunction, dcap: int = DEFAULT_DCAP) -> ComplexityReport:
+    """Every measure of f; the exact depth is None when f has more than ``dcap`` variables."""
     from . import polynomial
 
-    d_exact = deterministic_complexity(f, cap=dcap)
+    d_exact = None if f.n > dcap else deterministic_complexity(f)
     s = sensitivity(f)
     deg = polynomial.degree_of(f)
     return ComplexityReport(

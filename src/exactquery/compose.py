@@ -161,7 +161,7 @@ def verify_gap(
     ``boolfn.MAX_DCAP`` variables.  f1 must not be constant (the composite's
     depth would be 0).
     """
-    if not 0 < len(f1.ones()) < 1 << f1.n:
+    if f1.table().all() or not f1.table().any():
         raise ValueError("inner function must not be constant")
     total = h.n * f1.n
     if total > boolfn.MAX_DCAP:
@@ -176,7 +176,7 @@ def verify_gap(
         max_queries = max(max_queries, queries)
         if value != composite.value_at(i):
             correct = False
-    d_exact = boolfn.deterministic_complexity(composite, cap=total)
+    d_exact = boolfn.deterministic_complexity(composite)
     return GapReport(
         n_inputs=1 << total,
         correct=correct,

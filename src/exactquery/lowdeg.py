@@ -25,7 +25,7 @@ import numpy as np
 
 from . import polynomial
 from .boolfn import MAX_N, BooleanFunction, InputAssignment, coerce_input, compose_table
-from .polynomial import find_collapser, published_k7_collapser, collapser_transcription_report
+from .polynomial import find_collapser
 
 # the degree-2 collapser for {0..3}: values 1,0,0,1
 _S_VALUES = (1, 0, 0, 1)
@@ -208,6 +208,7 @@ class ConstructedFunction:
         return self.evaluate(InputAssignment.from_index(self.n, i))
 
     def evaluate(self, x) -> int:
+        """``_values`` on one input, at any arity: the reference for table rows."""
         bits = np.array([coerce_input(x, self.n).bits], dtype=np.uint8)
         return int(_values(self.structure, bits)[0])
 
@@ -237,27 +238,21 @@ def build_f3k(k: int) -> ConstructedFunction:
     """
     values, _ = find_collapser(k)  # k must be odd and in 3..15
     n = 3 * k
-    notes = []
-    collapser_source = "search"
-    if k == 7:
-        report = collapser_transcription_report(published_k7_collapser(), 7)
-        if report["usable_for_construction"]:
-            collapser_source = "transcription"
-        else:
-            notes.append(
-                "published degree-6 collapser transcription maps {0..7} to "
-                f"{{0,1}}: {report['maps_to_01']}, but p(0) == p(1); "
-                "using the searched collapser to keep the zero input fully sensitive"
-            )
+    # the published k = 7 polynomial (polynomial.published_k7_collapser) is
+    # never usable: its report's usable_for_construction is false
+    notes = (
+        "published degree-6 collapser transcription maps {0..7} to {0,1}: True, but p(0) == p(1); "
+        "using the searched collapser to keep the zero input fully sensitive",
+    ) if k == 7 else ()
     triangles = tuple((i, k + i, 2 * k + i) for i in range(k))
     return ConstructedFunction(
         n=n,
         family="f3k",
-        params={"k": k, "collapser": collapser_source, "collapser_values": list(values)},
+        params={"k": k, "collapser": "search", "collapser_values": list(values)},
         claimed_degree=2 * (k - 1),
         witness_input=(0,) * n,
         structure=Compose(values, _NAE3, triangles),
-        notes=tuple(notes),
+        notes=notes,
     )
 
 

@@ -8,7 +8,7 @@ query multiplies amplitude i by -1 exactly when the variable assigned to that
 amplitude is 1.
 
 ``simulate`` is the only code that applies layers; ``is_exact`` and
-``classify_final`` read ``final_states``, its result on every input.  Float
+``relabel_outputs`` read ``final_states``, its result on every input.  Float
 mode is the same exact simulation of an algorithm whose decimal entries
 were read as the rationals they denote and checked for unitarity to
 ``FLOAT_TOLERANCE``; only its printing rounds.
@@ -179,17 +179,6 @@ class UnitaryMatrix:
             tuple((j, entry) for j, entry in enumerate(row) if not entry.is_zero())
             for row in self.rows
         )
-
-    @classmethod
-    def from_values(cls, rows) -> "UnitaryMatrix":
-        def conv(v):
-            if isinstance(v, ExactScalar):
-                return v
-            if isinstance(v, str):
-                return parse_scalar(v)
-            return ExactScalar.of(v)
-
-        return cls([[conv(v) for v in row] for row in rows])
 
     def apply(self, state: tuple[ExactScalar, ...]) -> tuple[ExactScalar, ...]:
         out = []
@@ -370,56 +359,33 @@ def is_exact(alg: QueryAlgorithm, f: BooleanFunction) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class ClassAssignment:
-    """Where each complement class {x, ~x} lands, when landing is deterministic.
-
-    ``index_of`` maps the class representative min(i, ~i) to the basis index
-    carrying all probability mass for both members.  ``injective`` records
-    whether distinct classes use distinct indices; relabeling a function onto
-    the algorithm only needs classes sharing an index to share the value.
-    """
-
-    n: int
-    index_of: dict[int, int]
-    injective: bool
-
-
-def classify_final(alg: QueryAlgorithm) -> ClassAssignment:
-    n = alg.n
-    full = (1 << n) - 1
-    indices = [final.deterministic_index() for final in final_states(alg)]
-    index_of: dict[int, int] = {}
-    for rep in range(1 << n):
-        if rep > (full ^ rep):
-            continue
-        for member in (rep, full ^ rep):
-            if indices[member] is None:
-                raise ValueError(
-                    f"final state on input {member:0{n}b} is not a single basis state"
-                )
-        if indices[rep] != indices[full ^ rep]:
-            raise ValueError(
-                f"complement class of {rep:0{n}b} lands on two different indices"
-            )
-        index_of[rep] = indices[rep]
-    injective = len(set(index_of.values())) == len(index_of)
-    return ClassAssignment(n, index_of, injective)
-
-
 def relabel_outputs(alg: QueryAlgorithm, f: BooleanFunction) -> QueryAlgorithm:
     """Reuse the layers, choosing output labels so the algorithm computes f.
 
-    Requires f to be complement-symmetric and every complement class to land
-    on a single basis index; classes sharing an index must share f's value.
+    Requires f to be complement-symmetric and both members of every
+    complement class {x, ~x} to end on one basis index with all the
+    probability mass; classes sharing an index must share f's value.
     """
     if alg.n != f.n:
         raise ValueError("algorithm and function arity mismatch")
     if not complement_symmetric(f):
         raise ValueError("function is not complement-symmetric")
-    assignment = classify_final(alg)
+    n = alg.n
+    full = (1 << n) - 1
+    indices = [final.deterministic_index() for final in final_states(alg)]
     outputs: list[Optional[int]] = [None] * alg.dim
-    for rep, idx in assignment.index_of.items():
+    # one class member per class: the one with x1 = 0
+    for rep in range(1 << (n - 1)):
+        for member in (rep, full ^ rep):
+            if indices[member] is None:
+                raise ValueError(
+                    f"final state on input {member:0{n}b} is not a single basis state"
+                )
+        idx = indices[rep]
+        if idx != indices[full ^ rep]:
+            raise ValueError(
+                f"complement class of {rep:0{n}b} lands on two different indices"
+            )
         value = f.value_at(rep)
         if outputs[idx] is not None and outputs[idx] != value:
             raise ValueError(
@@ -481,20 +447,6 @@ def a2() -> QueryAlgorithm:
 # JSON codec
 # ---------------------------------------------------------------------------
 
-def algorithm_to_json_dict(alg: QueryAlgorithm) -> dict:
-    layers = []
-    for layer in alg.layers:
-        if isinstance(layer, UnitaryMatrix):
-            layers.append(
-                {"unitary": [[str(v) for v in row] for row in layer.rows]}
-            )
-        else:
-            layers.append(
-                {"query": [None if v is None else v + 1 for v in layer.assignment]}
-            )
-    return {"dim": alg.dim, "n": alg.n, "layers": layers, "outputs": list(alg.outputs)}
-
-
 def algorithm_from_json_dict(data: dict, tolerance: float = 0) -> QueryAlgorithm:
     """Decoder; variable numbers in query layers are 1-based.
 
@@ -539,7 +491,7 @@ def algorithm_from_json_dict(data: dict, tolerance: float = 0) -> QueryAlgorithm
                 )
             if not all(isinstance(v, str) for row in rows for v in row):
                 raise ValueError('exact scalars must be JSON strings such as "1/2 r2"')
-            layers.append(UnitaryMatrix.from_values(rows))
+            layers.append(UnitaryMatrix([[parse_scalar(v) for v in row] for row in rows]))
         else:
             query = entry["query"]
             if type(query) is not list or any(v is not None and type(v) is not int for v in query):

@@ -8,6 +8,7 @@ so CLI output stays byte-identical across runs.
 from __future__ import annotations
 
 import random
+import re
 from typing import Callable, Optional
 
 from . import boolfn, compose, lowdeg, polynomial, qsim
@@ -294,7 +295,7 @@ def suite_inequalities(count: int = 500, seed: int = DEFAULT_SEED) -> dict:
         f = BooleanFunction(n, table)
         s = boolfn.sensitivity(f)
         deg = polynomial.degree_of(f)
-        d = boolfn.deterministic_complexity(f, cap=10)
+        d = boolfn.deterministic_complexity(f)
         tested += 1
         ok = s <= d and deg <= d and d <= n
         if s == n and d != n:
@@ -336,17 +337,20 @@ _SAMPLED: dict[str, Callable[..., dict]] = {
     "inequalities": suite_inequalities,
 }
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
 
 def parse_params(usage: str, arg: str) -> list[int]:
     """The integer parameters ``arg`` after the colon of a ``usage`` such as
-    "lemma3:K,T"; a ValueError names the usage when they do not fit it."""
-    try:
-        params = [int(p) for p in arg.split(",")]
-    except ValueError:
-        params = []
-    if len(params) != usage.count(",") + 1:
+    "lemma3:K,T"; a ValueError names the usage when they do not fit it.
+
+    Each parameter is ASCII ``-?[0-9]+``: ``int`` alone would also take
+    " 3", "+3", "0_3" and other scripts' digits.
+    """
+    params = arg.split(",")
+    if len(params) != usage.count(",") + 1 or not all(_INTEGER.fullmatch(p) for p in params):
         raise ValueError(f"expected {usage} with integer parameters")
-    return params
+    return [int(p) for p in params]
 
 
 def run_suite(spec: str, count: Optional[int] = None, seed: Optional[int] = None) -> dict:

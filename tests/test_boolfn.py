@@ -29,6 +29,11 @@ GOLDEN = Path(__file__).parent / "golden"
 # Reference implementations, kept independent of the package internals
 # ---------------------------------------------------------------------------
 
+def _tabulate(n, value):
+    """The function whose entry i is ``value`` of input i's bits."""
+    return BooleanFunction(n, [value(InputAssignment.from_index(n, i).bits) for i in range(1 << n)])
+
+
 def naive_depth(table, n):
     """Plain minimax recursion on explicit sub-tables, no memoization."""
     if all(v == table[0] for v in table):
@@ -81,7 +86,7 @@ def test_table_construction_and_lookup():
     assert [f.value_at(i) for i in range(4)] == [0, 1, 1, 0]
     assert f("10") == 1
     assert f((1, 1)) == 0
-    assert f.ones() == (1, 2)
+    assert np.flatnonzero(f.table()).tolist() == [1, 2]
     with pytest.raises(ValueError):
         BooleanFunction(2, (0, 1, 1))
     with pytest.raises(ValueError):
@@ -149,22 +154,26 @@ def test_equality_and_hash():
 
 def test_f3_ones_and_values():
     f3 = named_function("F3")
-    assert [format(i, "03b") for i in f3.ones()] == ["001", "110"]
+    assert f3 == _tabulate(3, lambda x: int(x[0] == x[1] and x[0] != x[2]))
+    assert [format(i, "03b") for i in np.flatnonzero(f3.table()).tolist()] == ["001", "110"]
     assert f3("001") == 1
     assert f3("000") == 0
 
 
 def test_g4_ones_and_values():
     g4 = named_function("G4")
-    assert [format(i, "04b") for i in g4.ones()] == ["0101", "0110", "1001", "1010"]
+    assert g4 == _tabulate(4, lambda x: int(x[0] != x[1] and x[2] != x[3]))
+    assert [format(i, "04b") for i in np.flatnonzero(g4.table()).tolist()] == [
+        "0101", "0110", "1001", "1010"
+    ]
     assert g4("0101") == 1
 
 
 def test_named_tables():
-    assert named_function("table1:1").ones() == (0, 7)
+    assert np.flatnonzero(named_function("table1:1").table()).tolist() == [0, 7]
     assert named_function("table1:2") == named_function("F3")
     assert named_function("table2:1") == named_function("G4")
-    assert [format(i, "04b") for i in named_function("table2:4").ones()] == [
+    assert [format(i, "04b") for i in np.flatnonzero(named_function("table2:4").table()).tolist()] == [
         "0000",
         "0011",
         "1100",
@@ -195,7 +204,7 @@ def test_sensitivity_fixtures():
     f3 = named_function("F3")
     assert sensitivity_at(f3, 0b001) == 3
     assert sensitivity_at(f3, 0b110) == 3
-    assert sensitivity(BooleanFunction.constant(3, 0)) == 0
+    assert sensitivity(BooleanFunction(3, [0] * 8)) == 0
     assert sensitivity(f3) == 3
 
 
@@ -219,12 +228,11 @@ def test_depth_fixtures():
     for n in (2, 3, 5):
         xor = BooleanFunction(n, [bin(i).count("1") & 1 for i in range(1 << n)])
         assert deterministic_complexity(xor) == n
-    assert deterministic_complexity(BooleanFunction.constant(4, 1)) == 0
+    assert deterministic_complexity(BooleanFunction(4, [1] * 16)) == 0
 
 
 def test_depth_cap_returns_none():
-    f = named_function("F3")
-    assert deterministic_complexity(f, cap=2) is None
+    assert complexity_report(named_function("F3"), dcap=2).d_exact is None
 
 
 def test_depth_matches_naive_exhaustive_n3():
@@ -314,7 +322,7 @@ def _decision_list(order):
             if bits[var]:
                 return (k + 1) & 1
         return 1
-    return BooleanFunction.from_callable(len(order), value)
+    return _tabulate(len(order), value)
 
 
 def _address(k, address_first):
@@ -322,7 +330,7 @@ def _address(k, address_first):
     def value(bits):
         address, data = (bits[:k], bits[k:]) if address_first else (bits[-k:], bits[:-k])
         return data[int("".join(map(str, address)), 2)]
-    return BooleanFunction.from_callable(k + 2**k, value)
+    return _tabulate(k + 2**k, value)
 
 
 def _symmetric(n, rule):
@@ -401,7 +409,7 @@ def test_depth_refuses_more_than_max_dcap(monkeypatch):
     monkeypatch.setattr(boolfn, "MAX_DCAP", 3)
     assert deterministic_complexity(named_function("F3")) == 3
     with pytest.raises(ValueError):
-        deterministic_complexity(named_function("G4"), cap=20)
+        deterministic_complexity(named_function("G4"))
 
 
 def test_depth_sensitivity_bounds_random():
@@ -410,7 +418,7 @@ def test_depth_sensitivity_bounds_random():
         n = rng.randint(3, 9)
         f = random_function(rng, n)
         s = sensitivity(f)
-        d = deterministic_complexity(f, cap=9)
+        d = deterministic_complexity(f)
         assert s <= d <= n
         if s == n:
             assert d == n
@@ -453,12 +461,12 @@ def test_degree_bound_agrees_with_depth_sweep():
         if _degree_bound_closes(f.table()):
             assert swept == f.n, f
             closed += 1
-        assert deterministic_complexity(f, cap=f.n) == swept, f
+        assert deterministic_complexity(f) == swept, f
         total += 1
     assert total == 4 + 16 + 256 + 256 + 2000
     assert 0 < closed < total
     # the non-constant guard: on one variable the constant 1 has c[top ^ 1] = c[0] = 1
-    assert deterministic_complexity(BooleanFunction.constant(1, 1)) == 0
+    assert deterministic_complexity(BooleanFunction(1, [1] * 2)) == 0
 
 
 def test_restriction_search_is_exact_on_small_functions():
@@ -516,7 +524,7 @@ def test_depth_sweep_runs_only_where_the_restriction_search_fails(monkeypatch, f
         return tables(g)
 
     monkeypatch.setattr(boolfn, "_partial_assignment_tables", counted)
-    d = deterministic_complexity(f, cap=f.n)
+    d = deterministic_complexity(f)
     assert len(calls) == sweeps
     assert d == int(tables(f)[0][-1])
 
@@ -624,7 +632,7 @@ def _compose_reference(outer, inner, blocks):
             j = (j << 1) | int(inner[int("".join(str(bits[v]) for v in block), 2)])
         return int(outer[j])
 
-    return BooleanFunction.from_callable(sum(map(len, blocks)), fn).table()
+    return _tabulate(sum(map(len, blocks)), fn).table()
 
 
 @pytest.mark.parametrize(
@@ -693,8 +701,8 @@ def test_compose_table_builds_only_uint8_tables():
 
 
 def test_compose_size_overflow():
-    h = BooleanFunction.constant(4, 0)
-    f1 = BooleanFunction.constant(9, 0)
+    h = BooleanFunction(4, [0] * 16)
+    f1 = BooleanFunction(9, [0] * 512)
     with pytest.raises(ValueError):
         compose_function(h, f1)
 
@@ -715,7 +723,7 @@ def test_complexity_report_f3():
 
 
 def test_complexity_report_constant():
-    report = complexity_report(BooleanFunction.constant(3, 0))
+    report = complexity_report(BooleanFunction(3, [0] * 8))
     assert report.sensitivity == 0
     assert report.degree == 0
     assert report.qe_lower == 0

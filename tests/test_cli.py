@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from exactquery import boolfn, cli, lowdeg, qsim
+from exactquery import boolfn, cli, lowdeg
 from exactquery.boolfn import BooleanFunction
 
 
@@ -45,7 +45,7 @@ def test_analyze_builtin_g4(capsys):
 
 def test_analyze_constant_from_file(tmp_path, capsys):
     path = tmp_path / "const0.json"
-    path.write_text(json.dumps(BooleanFunction.constant(3, 0).to_json_dict()))
+    path.write_text(json.dumps(BooleanFunction(3, [0] * 8).to_json_dict()))
     code, doc = run(capsys, "analyze", str(path))
     assert code == 0
     assert doc["sensitivity"] == 0
@@ -93,10 +93,8 @@ def test_simulate_float_mode(capsys):
     assert abs(doc["probabilities"]["1"] - 1.0) < 1e-9
 
 
-def test_simulate_algorithm_from_file(tmp_path, capsys):
-    path = tmp_path / "alg.json"
-    path.write_text(json.dumps(qsim.algorithm_to_json_dict(qsim.a1())))
-    code, doc = run(capsys, "simulate", "--alg", str(path), "--input", "011")
+def test_simulate_algorithm_from_file(capsys):
+    code, doc = run(capsys, "simulate", "--alg", str(GOLDEN / "alg-a1.json"), "--input", "011")
     assert code == 0
     assert doc["amplitudes"] == ["0", "-1", "0", "0"]
 
@@ -321,11 +319,11 @@ def test_exact_cap_env_variable(capsys, monkeypatch):
 # usage errors: every one exits 2 with a message and prints nothing on stdout
 # ---------------------------------------------------------------------------
 
-A1 = qsim.algorithm_to_json_dict(qsim.a1())
+A1 = json.loads((GOLDEN / "alg-a1.json").read_text(encoding="utf-8"))
 
 
 def _a1_with_query_var(v):
-    data = qsim.algorithm_to_json_dict(qsim.a1())
+    data = json.loads((GOLDEN / "alg-a1.json").read_text(encoding="utf-8"))
     data["layers"][1]["query"][0] = v  # x1 in a1's first query
     return data
 
@@ -462,6 +460,7 @@ def test_verify_unknown_suite(tmp_path, capsys):
     "suite, message",
     [
         ("lemma3:3,0", "t must be at least 1"),
+        ("lemma3:3,-1", "t must be at least 1"),
         ("lemma2:11", "no truth table available for n=33"),
         ("lemma2:x", "expected lemma2:K with integer parameters"),
     ],
@@ -581,6 +580,13 @@ USAGE_ERRORS = [
             f"expected {family} with integer parameters")
       for spec, family in (("f3k:abc", "f3k:K"), ("lemma3:3", "lemma3:K,T"),
                            ("lemma3:3,1,2", "lemma3:K,T"))),
+    # a parameter is ASCII -?[0-9]+: no sign, space, underscore or other script's digit
+    *(usage(f"verify-parameter-{name}", ["verify", "--suite", f"lemma2:{param}"],
+            f"suite lemma2:{param}: expected lemma2:K with integer parameters")
+      for name, param in (("underscore", "0_3"), ("space", " 3"), ("plus", "+3"),
+                          ("arabic-indic", "\u0663"))),
+    usage("construct-parameter-arabic-indic", ["construct", "--family", "f3k:\u0665"],
+          "expected f3k:K with integer parameters"),
     usage("construct-poly-over-cap", "construct --family f3k:9 --emit poly",
           "polynomial emission capped at n=24; n=27"),
     *(usage(f"construct-mode-{mode}-emit-{emit}", f"construct --family f9 --mode {mode} --emit {emit}",

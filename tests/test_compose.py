@@ -210,7 +210,8 @@ def test_gap_report_json():
 
 
 def test_gap_rejects_constant_inner_function():
-    constant = BooleanFunction.constant(3, 1)
-    inner = qsim.relabel_outputs(qsim.a1(), constant)
-    with pytest.raises(ValueError, match="constant"):
-        verify_gap(AND2, constant, inner)
+    for value in (0, 1):
+        constant = BooleanFunction(3, [value] * 8)
+        inner = qsim.relabel_outputs(qsim.a1(), constant)
+        with pytest.raises(ValueError, match="inner function must not be constant"):
+            verify_gap(AND2, constant, inner)

@@ -79,15 +79,15 @@ def test_interpolate_and_n():
 
 def test_degree_fixtures():
     assert degree_of(named_function("F3")) == 2
-    assert degree_of(BooleanFunction.constant(4, 1)) == 0
-    assert degree_of(BooleanFunction.constant(4, 0)) == 0
+    assert degree_of(BooleanFunction(4, [1] * 16)) == 0
+    assert degree_of(BooleanFunction(4, [0] * 16)) == 0
     assert max(mask.bit_count() for mask in terms(named_function("F3"))) == 2
 
 
 def test_interpolation_cap(monkeypatch):
     # the cap bounds only the CLI's polynomial emission
     monkeypatch.setattr(polynomial, "INTERPOLATION_CAP", 4)
-    assert degree_of(BooleanFunction.constant(5, 0)) == 0  # no cap below MAX_N
+    assert degree_of(BooleanFunction(5, [0] * 32)) == 0  # no cap below MAX_N
 
 
 def test_coefficients_match_subset_sums():
