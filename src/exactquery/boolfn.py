@@ -8,6 +8,7 @@ arrays of length ``2**n`` indexed that way.
 
 from __future__ import annotations
 
+import re
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
@@ -21,6 +22,18 @@ DEFAULT_DCAP = 12
 MAX_DCAP = 17
 
 _BIT_CHARS = {"0": 0, "1": 1}
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """``text`` as an integer when it is ASCII ``-?[0-9]+``, else ValueError.
+
+    The one integer grammar of outside input: ``int`` alone would also take
+    " 3", "+3", "0_3" and other scripts' digits.
+    """
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
 
 
 @dataclass(frozen=True)
@@ -202,7 +215,7 @@ def named_function(name: str) -> BooleanFunction:
     for prefix, columns in (("table1:", TABLE1_COLUMNS), ("table2:", TABLE2_COLUMNS)):
         if low.startswith(prefix):
             try:
-                i = int(low[len(prefix):])
+                i = parse_int(low[len(prefix):])
             except ValueError:
                 break
             if 1 <= i <= 8:

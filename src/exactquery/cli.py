@@ -41,9 +41,16 @@ def _info(message: str) -> None:
     sys.stderr.write(message + "\n")
 
 
+def _int(text: str) -> int:
+    try:
+        return boolfn.parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+
+
 def _nonnegative_int(text: str) -> int:
     try:
-        value = int(text)
+        value = boolfn.parse_int(text)
     except ValueError:
         value = -1
     if value < 0:
@@ -53,7 +60,7 @@ def _nonnegative_int(text: str) -> int:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(v) for v in text.split(",")]
+        return [boolfn.parse_int(v) for v in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of integers") from None
 
@@ -205,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True)
-    p.add_argument("--count", type=int, default=None, help="sample count for random suites")
-    p.add_argument("--seed", type=int, default=None, help="seed for random suites")
+    p.add_argument("--count", type=_int, default=None, help="sample count for random suites")
+    p.add_argument("--seed", type=_int, default=None, help="seed for random suites")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("construct", help="emit a constructed family member")
@@ -218,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-collapser", help="fit or search range collapsers")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--values", type=_int_list, help="comma-separated sample values at 0..k")
-    mode.add_argument("--k", type=int, help="search the canonical collapser for odd k")
+    mode.add_argument("--k", type=_int, help="search the canonical collapser for odd k")
     mode.add_argument("--published-k7", action="store_true", dest="published_k7",
                       help="evaluate the published k=7 transcription")
     p.set_defaults(handler=_cmd_fit_collapser)

@@ -13,10 +13,12 @@ so a monomial evaluates to 1 at input index ``i`` exactly when
 from __future__ import annotations
 
 import functools
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -43,6 +45,13 @@ _LOW_BITS = 15
 _BLOCK = 1 << 19
 _SLAB = 1 << 18
 _BUFSIZE = 1 << 11
+# tables of 2^_THREADED_N entries or more run table_degree's blocks and slabs
+# on every available CPU; below that, one thread.  Two threads against one
+# on a shared 2-vCPU host (median of 12-60 calls, five rounds): n = 21 took
+# 0.71-1.13 of the time, n = 22 0.64-1.06, n = 23 0.60-0.71, n = 24
+# 0.54-0.68, the upper ends in phases when the second vCPU was busy.  An
+# f3k:7 table (n = 21) sets certify's median op, so it stays on one thread
+_THREADED_N = 22
 
 
 @functools.cache
@@ -51,6 +60,7 @@ def _popcount16() -> np.ndarray:
     pc = np.zeros(1, dtype=np.int8)
     for _ in range(16):
         pc = np.concatenate([pc, pc + 1])
+    pc.flags.writeable = False
     return pc
 
 
@@ -109,6 +119,58 @@ def mobius_coefficients(table: np.ndarray) -> np.ndarray:
     return _subset_transform(a, _log2_size(a))
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _each(step: Callable[[int], Any], count: int, workers: int) -> list:
+    """``[step(0), ..., step(count - 1)]``, each item run once by one of
+    ``workers`` threads: the calling thread and ``workers - 1`` threads
+    started here, every one of them joined before this returns or raises.
+
+    Items are handed out in index order, and none after an item has raised;
+    the exception of the lowest-indexed failing item is then re-raised.
+    Every item below it had been handed out and ran to its end, so that is
+    the exception one thread alone would raise.
+    """
+    results: list = [None] * count
+    errors: dict[int, BaseException] = {}
+    pending = list(range(count - 1, -1, -1))  # popped from the end, lowest first
+    lock = threading.Lock()
+
+    def work() -> None:
+        while True:
+            with lock:
+                if errors or not pending:
+                    return
+                i = pending.pop()
+            try:
+                results[i] = step(i)
+            except BaseException as exc:  # re-raised by the calling thread
+                with lock:
+                    errors[i] = exc
+
+    threads: list[threading.Thread] = []
+    try:
+        for _ in range(min(workers, count) - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            threads.append(thread)
+        work()
+    finally:
+        with lock:  # after a failed start or an interrupt, no more items
+            pending.clear()
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def table_degree(
     table: Union[np.ndarray, Callable[[int, int], np.ndarray]], n: Optional[int] = None
 ) -> int:
@@ -116,8 +178,11 @@ def table_degree(
 
     ``table`` is the array or, with ``n`` given, a row source: a function
     that returns the table's entries ``[start, stop)``.  Stage 1 asks it
-    for aligned power-of-two ranges in order, so a source that builds each
-    range (``ConstructedFunction.table``) never holds the whole table.
+    for each aligned power-of-two range of one block exactly once, so a
+    source that builds each range (``ConstructedFunction.table``) never
+    holds the whole table.  From n = ``_THREADED_N`` on, the source is
+    called from several threads at once and the ranges come in order only
+    within one thread; below it, all in order from the calling thread.
 
     Two cache-sized stages, without any 2^n-entry int32 array.  Index
     hi * 2^L + lo, L = min(n, 15), is row hi and column lo of one int16
@@ -135,8 +200,16 @@ def table_degree(
     2.4.6).  A table with n < 4 gets dummy high variables, which leave the
     degree unchanged.
 
+    From n = ``_THREADED_N`` on, the blocks of stage 1 and then the slabs
+    of stage 2 are shared among one thread per available CPU (``_each``),
+    which are all joined before this returns or raises.  Blocks write
+    disjoint rows and the degree is the largest slab result, so it does not
+    depend on the order in which they run; numpy keeps the ufunc buffer
+    size per thread.
+
     Raises ValueError if an entry is not 0 or 1 (checked block by block, as
-    packing would read any nonzero entry as 1).
+    packing would read any nonzero entry as 1); with several bad blocks,
+    the first one's.
     """
     if n is None:
         array = np.asarray(table)
@@ -144,6 +217,7 @@ def table_degree(
     if n < 4:
         array = np.tile(table(0, 1 << n), 16 >> n)
         n, table = 4, lambda start, stop: array[start:stop]
+    workers = _cpus() if n >= _THREADED_N else 1
     low = min(n, _LOW_BITS)
     high = n - low
     width = 1 << low
@@ -151,7 +225,9 @@ def table_degree(
     block = min(_BLOCK, 1 << n)
     narrow = min(low, 7)
     lookup = _mobius16()
-    for start in range(0, 1 << n, block):
+
+    def stage1(i: int) -> None:
+        start = i * block
         rows = table(start, start + block)
         if rows.max() > 1 or rows.min() < 0:
             raise ValueError("table entries must be 0 or 1")
@@ -161,18 +237,22 @@ def table_degree(
         seg = mid.reshape(-1)[start : start + block]
         seg.reshape(ids.shape + (16,))[...] = seg8.transpose(1, 0, 2)
         _subset_transform(seg, low - narrow, 1 << narrow)
-    del rows, ids, seg8
+
+    _each(stage1, (1 << n) // block, workers)
 
     pc = _popcount16()
     cols = min(width, _SLAB >> high)
     # popcount(hi) + popcount(lo - c0) by slab entry, as c0 is a multiple of
     # the power of two cols; 1 + that at the nonzero entries, 0 elsewhere
     weight = pc[: 1 << high, None] + pc[None, :cols]
-    best = 0
-    for c0 in range(0, width, cols):
+
+    def stage2(i: int) -> int:
+        c0 = i * cols
         slab = _subset_transform(mid[:, c0 : c0 + cols].astype(np.int32), high, cols)
-        best = max(best, int(((weight + (pc[c0] + 1)) * (slab != 0)).max()) - 1)
-    return best
+        return int(((weight + (pc[c0] + 1)) * (slab != 0)).max()) - 1
+
+    # an all-zero slab gives -1, and a constant table has degree 0
+    return max([0, *_each(stage2, width // cols, workers)])
 
 
 def degree_of(f: BooleanFunction) -> int:

@@ -8,7 +8,6 @@ so CLI output stays byte-identical across runs.
 from __future__ import annotations
 
 import random
-import re
 from typing import Callable, Optional
 
 from . import boolfn, compose, lowdeg, polynomial, qsim
@@ -337,20 +336,20 @@ _SAMPLED: dict[str, Callable[..., dict]] = {
     "inequalities": suite_inequalities,
 }
 
-_INTEGER = re.compile(r"-?[0-9]+")
-
 
 def parse_params(usage: str, arg: str) -> list[int]:
     """The integer parameters ``arg`` after the colon of a ``usage`` such as
     "lemma3:K,T"; a ValueError names the usage when they do not fit it.
 
-    Each parameter is ASCII ``-?[0-9]+``: ``int`` alone would also take
-    " 3", "+3", "0_3" and other scripts' digits.
+    Each parameter is ASCII ``-?[0-9]+`` (``boolfn.parse_int``).
     """
     params = arg.split(",")
-    if len(params) != usage.count(",") + 1 or not all(_INTEGER.fullmatch(p) for p in params):
-        raise ValueError(f"expected {usage} with integer parameters")
-    return [int(p) for p in params]
+    try:
+        if len(params) == usage.count(",") + 1:
+            return [boolfn.parse_int(p) for p in params]
+    except ValueError:
+        pass
+    raise ValueError(f"expected {usage} with integer parameters")
 
 
 def run_suite(spec: str, count: Optional[int] = None, seed: Optional[int] = None) -> dict:

@@ -3,6 +3,9 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -21,6 +24,20 @@ def run(capsys, *argv):
     captured = capsys.readouterr()
     doc = json.loads(captured.out) if captured.out else None
     return code, doc
+
+
+def test_import_starts_no_thread():
+    # the degree kernel starts its threads inside table_degree; loading the
+    # CLI starts none and imports no executor
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import sys, threading, exactquery.cli; "
+        "print(threading.active_count(), 'concurrent.futures' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "1 False\n"
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +569,19 @@ USAGE_ERRORS = [
           {"n": 18, "table_hex": "00" * (1 << 15)}),
     usage("analyze-dcap-abc", "analyze builtin:F3 --dcap abc",
           "argument --dcap: 'abc' is not a nonnegative integer"),
+    # every integer of outside input is ASCII -?[0-9]+, as suite parameters are
+    *(usage(f"analyze-table1-index-{name}", ["analyze", f"builtin:table1:{index}"],
+            f"unknown builtin function 'table1:{index}'; {BUILTINS}")
+      for name, index in (("arabic-indic", "\u0662"), ("plus", "+2"), ("space", " 2"),
+                          ("underscore", "0_2"))),
+    usage("analyze-dcap-arabic-indic", ["analyze", "builtin:F3", "--dcap", "\u0663"],
+          "argument --dcap: '\u0663' is not a nonnegative integer"),
+    *(usage(f"verify-{option}-{name}", ["verify", "--suite", "lemma1", f"--{option}", value],
+            f"argument --{option}: {value!r} is not an integer")
+      for option in ("count", "seed")
+      for name, value in (("space-underscore", " 1_0"), ("plus", "+1"), ("abc", "abc"))),
+    usage("fit-collapser-k-plus", ["fit-collapser", "--k", "+7"],
+          "argument --k: '+7' is not an integer"),
     *(usage(f"simulate-zero-denominator-{kind}", "simulate --alg FILE --input 0",
             f"cannot parse exact scalar {entry!r}",
             _one_layer({"unitary": [[entry, "0"], ["0", "1"]]}))
@@ -596,7 +626,7 @@ USAGE_ERRORS = [
     usage("fit-collapser-one-value", "fit-collapser --values 1", "need at least two sample values"),
     *(usage(f"fit-collapser-values-{name}", ["fit-collapser", "--values", values],
             f"argument --values: {values!r} is not a comma-separated list of integers")
-      for name, values in (("1,x", "1,x"), ("empty", ""))),
+      for name, values in (("1,x", "1,x"), ("empty", ""), ("plus-space-underscore", "+1, 0,0,1_0"))),
 ]
 
 

@@ -1,6 +1,7 @@
 """Group partitions, pairings and the low-degree construction families."""
 
 import random
+import threading
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -546,7 +547,7 @@ def test_certify_auto_picks_exact_for_small():
     assert report.degree_mode == "exact"
 
 
-@pytest.mark.parametrize(
+STREAMED = pytest.mark.parametrize(
     "cf",
     [build_f9(), build_f12(), build_f3k(5)]
     + [
@@ -555,6 +556,9 @@ def test_certify_auto_picks_exact_for_small():
     ],
     ids=["f9", "f12", "f3k:5", *NON_CONSECUTIVE],
 )
+
+
+@STREAMED
 def test_certify_streams_small_row_blocks(cf, monkeypatch):
     expected = degree_of(BooleanFunction(cf.n, cf.table()))
     # the block sizes of test_table_degree_matches_reference[shrunk]
@@ -581,6 +585,32 @@ def test_certify_streams_small_row_blocks(cf, monkeypatch):
     for layout in layouts:
         m = len(layout[0])
         assert layout == tuple(tuple(range(j * m, j * m + m)) for j in range(len(layout)))
+
+
+@STREAMED
+def test_certify_threaded_reads_every_row_block_once(cf, monkeypatch):
+    expected = degree_of(BooleanFunction(cf.n, cf.table()))
+    # 3 workers from any n, with the block sizes above
+    monkeypatch.setattr(polynomial, "_THREADED_N", 0)
+    monkeypatch.setattr(polynomial, "_cpus", lambda: 3)
+    monkeypatch.setattr(polynomial, "_LOW_BITS", 5)
+    monkeypatch.setattr(polynomial, "_BLOCK", 1 << 7)
+    monkeypatch.setattr(polynomial, "_SLAB", 1 << 13)
+    ranges = []
+    compose_table = lowdeg.compose_table
+
+    def recording(outer, inner, blocks, start=0, stop=None):
+        ranges.append((start, stop))
+        return compose_table(outer, inner, blocks, start, stop)
+
+    monkeypatch.setattr(lowdeg, "compose_table", recording)
+    before = threading.active_count()
+    report = certify(cf, mode="exact")
+    assert threading.active_count() == before
+    assert report.computed_degree == expected
+    # in any order across the workers, each block once
+    blocks = sorted(r for r in ranges if r != (0, None))
+    assert blocks == [(s, s + (1 << 7)) for s in range(0, 1 << cf.n, 1 << 7)]
 
 
 def _block_order_variables(f):

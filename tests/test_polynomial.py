@@ -1,6 +1,9 @@
 """Mobius coefficients, degrees, range polynomials and collapsers."""
 
 import random
+import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -8,7 +11,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from exactquery.boolfn import BooleanFunction, InputAssignment, named_function
+from exactquery.boolfn import BooleanFunction, InputAssignment, compose_table, named_function
 from exactquery import polynomial
 from exactquery.polynomial import (
     collapser_transcription_report,
@@ -302,6 +305,181 @@ def test_table_degree_allocates_no_2n_int32_array():
         tracemalloc.stop()
     assert degree == n
     assert peak < 3 << n  # an int32 coefficient array alone is 4 << n bytes
+
+
+def thread_blocks(monkeypatch, n):
+    """Run table_degree on 3 workers from any n, with 5 low bits, 2^(n-3)-entry
+    blocks and 2^(n-3)-entry slabs: from n = 8, 8 blocks and 8 slabs."""
+    monkeypatch.setattr(polynomial, "_THREADED_N", 0)
+    monkeypatch.setattr(polynomial, "_cpus", lambda: 3)
+    monkeypatch.setattr(polynomial, "_LOW_BITS", 5)
+    monkeypatch.setattr(polynomial, "_BLOCK", 1 << max(5, n - 3))
+    monkeypatch.setattr(polynomial, "_SLAB", 1 << max(0, n - 3))
+
+
+def one_worker_degree(monkeypatch, source, n):
+    with monkeypatch.context() as m:
+        m.setattr(polynomial, "_THREADED_N", 99)
+        return polynomial.table_degree(source, n)
+
+
+def random_composition(rng, n):
+    """A row source of a random outer table of k block values of one random
+    b-variable inner table, k * b = n, its blocks a random partition."""
+    b = int(rng.choice([b for b in range(2, n // 2 + 1) if n % b == 0]))
+    k = n // b
+    outer = rng.integers(0, 2, 1 << k).astype(np.uint8)
+    inner = rng.integers(0, 2, 1 << b).astype(np.uint8)
+    blocks = rng.permutation(n).reshape(k, b).tolist()
+    return lambda start, stop: compose_table(outer, inner, blocks, start, stop)
+
+
+def two_threads(source):
+    """``source`` recording each range asked for and the threads asking;
+    until a second thread asks, a call waits up to 10 s for one, so that at
+    least two threads read it."""
+    ranges, threads, second = [], set(), threading.Event()
+
+    def recording(start, stop):
+        ranges.append((start, stop))
+        threads.add(threading.get_ident())
+        if len(threads) >= 2:
+            second.set()
+        second.wait(10)
+        return source(start, stop)
+
+    return recording, ranges, threads
+
+
+def test_each_runs_every_item_once_under_contention():
+    # more workers than cores, switching threads as often as the interpreter
+    # allows: a lost update on the shared item list would run an item twice
+    # or not at all
+    ran = []
+
+    def step(i):
+        ran.append(i)
+        return i * i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        before = threading.active_count()
+        assert polynomial._each(step, 5000, 8) == [i * i for i in range(5000)]
+        assert threading.active_count() == before
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(ran) == list(range(5000))
+
+
+def test_each_hands_out_no_item_after_a_failure():
+    # item 0 raises once item 1 has started; item 1 then runs on for 0.2 s,
+    # and no worker takes item 2
+    started_1, ran = threading.Event(), []
+
+    def step(i):
+        ran.append(i)
+        if i == 0:
+            assert started_1.wait(10)
+            raise RuntimeError("item 0")
+        if i == 1:
+            started_1.set()
+            time.sleep(0.2)
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="item 0"):
+        polynomial._each(step, 10, 2)
+    assert threading.active_count() == before
+    assert sorted(ran) == [0, 1]
+
+
+@pytest.mark.parametrize("n", range(4, 21))
+def test_threaded_degree_equals_one_worker(n, monkeypatch):
+    rng = np.random.default_rng(300 + n)
+    sources = {name: (lambda start, stop, t=t: t[start:stop]) for name, t in kernel_tables(rng, n).items()}
+    if any(n % b == 0 for b in range(2, n // 2 + 1)):
+        sources["composition"] = random_composition(rng, n)
+    thread_blocks(monkeypatch, n)
+    for name, source in sources.items():
+        expected = one_worker_degree(monkeypatch, source, n)
+        assert polynomial.table_degree(source, n) == expected, name
+    assert polynomial.table_degree(sources["zero"], n) == 0
+    assert polynomial.table_degree(sources["one"], n) == 0
+
+
+@pytest.mark.parametrize("n", [9, 16])
+def test_threaded_stage1_asks_for_every_range_once(n, monkeypatch):
+    table = kernel_tables(np.random.default_rng(400 + n), n)["random"]
+    thread_blocks(monkeypatch, n)
+    source, ranges, threads = two_threads(lambda start, stop: table[start:stop])
+    before = threading.active_count()
+    assert polynomial.table_degree(source, n) == reference_degree(table)
+    assert threading.active_count() == before
+    assert len(threads) >= 2
+    block = 1 << max(5, n - 3)
+    assert sorted(ranges) == [(s, s + block) for s in range(0, 1 << n, block)]
+
+
+@pytest.mark.parametrize("where", ["first", "last", "both"])
+def test_threaded_bad_entry(where, monkeypatch):
+    n = 12
+    table = kernel_tables(np.random.default_rng(7), n)["random"].astype(np.int16)
+    if where in ("first", "both"):
+        table[3] = 2
+    if where in ("last", "both"):
+        table[-1] = -1
+    thread_blocks(monkeypatch, n)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="table entries must be 0 or 1"):
+        polynomial.table_degree(table)
+    assert threading.active_count() == before
+
+
+def test_threaded_row_source_raising_in_a_worker(monkeypatch):
+    n = 12
+    table = kernel_tables(np.random.default_rng(8), n)["random"]
+    thread_blocks(monkeypatch, n)
+    caller = threading.get_ident()
+
+    def failing(start, stop):
+        if threading.get_ident() != caller:
+            raise RuntimeError(f"worker at {start}")
+        return table[start:stop]
+
+    source, ranges, threads = two_threads(failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="worker at"):
+        polynomial.table_degree(source, n)
+    assert threading.active_count() == before
+    assert len(threads) >= 2
+
+
+def test_threaded_failure_is_the_lowest_failing_block(monkeypatch):
+    n = 12
+    block = 1 << (n - 3)
+    table = kernel_tables(np.random.default_rng(9), n)["random"]
+    thread_blocks(monkeypatch, n)
+    asked_4 = threading.Event()
+
+    def failing(start, stop):
+        # block 3 fails only after block 4 has been asked for and has failed
+        # in another worker, so the later block's exception comes first
+        if start == 4 * block:
+            asked_4.set()
+            raise RuntimeError("block 4")
+        if start == 3 * block:
+            assert asked_4.wait(10)
+            raise RuntimeError("block 3")
+        return table[start:stop]
+
+    source, ranges, threads = two_threads(failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="^block 3$"):
+        polynomial.table_degree(source, n)
+    assert threading.active_count() == before
+    # no block is asked for twice, and every block up to the failing ones is
+    assert len(set(ranges)) == len(ranges)
+    assert {start // block for start, _ in ranges} >= {0, 1, 2, 3, 4}
 
 
 def test_random_functions_round_trip():
