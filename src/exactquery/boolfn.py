@@ -236,14 +236,11 @@ def complement_symmetric(f: BooleanFunction) -> bool:
 
 
 def sensitivity(f: BooleanFunction) -> int:
-    t = f.table().astype(np.int8)
+    t = f.table()
     total = np.zeros(1 << f.n, dtype=np.int8)
     for j in range(f.n):
-        pairs = t.reshape(-1, 2, 1 << j)
-        diff = (pairs[:, 0, :] != pairs[:, 1, :]).astype(np.int8)
-        acc = total.reshape(-1, 2, 1 << j)
-        acc[:, 0, :] += diff
-        acc[:, 1, :] += diff
+        # each entry against its partner across index bit j
+        total += t != t.reshape(-1, 2, 1 << j)[:, ::-1].reshape(-1)
     return int(total.max())
 
 
@@ -304,10 +301,8 @@ def _partial_assignment_tables(f: BooleanFunction) -> tuple[np.ndarray, np.ndarr
     ``D + 1`` of them for the full depth ``D``, after the first one that
     changes nothing.  That fixpoint is exact: each state is the min over its
     free axes of 1 + max of its children, which is the true depth by
-    induction on the number of free variables.  The change test compares
-    against a snapshot taken before the sweep and initialised to -1, which
-    no entry takes; an uninitialised buffer could already hold the table
-    and stop the loop before its first sweep.
+    induction on the number of free variables.  Since values only fall, a
+    sweep changed nothing exactly when it left the table's sum unchanged.
     """
     n = f.n
     if n > MAX_DCAP:
@@ -323,9 +318,9 @@ def _partial_assignment_tables(f: BooleanFunction) -> tuple[np.ndarray, np.ndarr
     depth = buffers[n % 2].view(np.int8)
     np.equal(flags, 3, out=depth.view(np.bool_))
     depth *= n + 1
-    before = np.full_like(depth, -1)
-    while not np.array_equal(depth, before):
-        np.copyto(before, depth)
+    last = None
+    while (total := int(depth.sum(dtype=np.int64))) != last:
+        last = total
         _axis_sweep(depth, n)
     return depth, flags
 

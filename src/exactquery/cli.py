@@ -15,7 +15,7 @@ import argparse
 import itertools
 import json
 import sys
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from . import boolfn, lowdeg, polynomial, qsim, suites
 from .boolfn import BooleanFunction
@@ -65,39 +65,33 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of integers") from None
 
 
-def _load_function(spec: str) -> BooleanFunction:
-    """builtin:NAME is a builtin only; a bare spec is a builtin, else a file."""
-    if spec.startswith("builtin:"):
-        return boolfn.named_function(spec[len("builtin:"):])
+def _named_algorithm(name: str) -> qsim.QueryAlgorithm:
+    if name not in ("a1", "a2"):
+        raise ValueError(f"unknown builtin algorithm {name!r}; builtins are a1, a2")
+    return qsim.a1() if name == "a1" else qsim.a2()
+
+
+def _load(kind: str, spec: str, builtin: Callable[[str], Any], decode: Callable[[Any], Any]) -> Any:
+    """builtin:NAME is a builtin only; a bare spec is a builtin, else a JSON file."""
+    name = spec.removeprefix("builtin:")
     try:
-        return boolfn.named_function(spec)
+        return builtin(name)
     except ValueError as exc:
+        if name != spec:
+            raise
         builtin_error = exc
     try:
         with open(spec, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return BooleanFunction.from_json_dict(data)
+            return decode(json.load(fh))
     except FileNotFoundError:
-        raise ValueError(f"cannot load function {spec!r}: no such file, and {builtin_error}") from None
-    except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
-        raise ValueError(f"cannot load function {spec!r}: {exc}") from exc
-
-
-def _load_algorithm(spec: str, tolerance: float) -> qsim.QueryAlgorithm:
-    if spec in ("builtin:a1", "a1"):
-        return qsim.a1()
-    if spec in ("builtin:a2", "a2"):
-        return qsim.a2()
-    try:
-        with open(spec, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return qsim.algorithm_from_json_dict(data, tolerance)
-    except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
-        raise ValueError(f"cannot load algorithm {spec!r}: {exc}") from exc
+        raise ValueError(f"cannot load {kind} {spec!r}: no such file, and {builtin_error}") from None
+    # deep nesting raises RecursionError, in json.load or in a decoder's repr of a value
+    except (OSError, ValueError, TypeError, RecursionError) as exc:
+        raise ValueError(f"cannot load {kind} {spec!r}: {exc}") from exc
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    f = _load_function(args.fn)
+    f = _load("function", args.fn, boolfn.named_function, BooleanFunction.from_json_dict)
     report = boolfn.complexity_report(f, dcap=args.dcap)
     _emit(report.to_json_dict())
     _info(f"analyzed n={f.n} function: sensitivity {report.sensitivity}, degree {report.degree}")
@@ -106,7 +100,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     tolerance = qsim.FLOAT_TOLERANCE if args.float else 0
-    alg = _load_algorithm(args.alg, tolerance)
+    alg = _load("algorithm", args.alg, _named_algorithm,
+                lambda data: qsim.algorithm_from_json_dict(data, tolerance))
     x = boolfn.coerce_input(args.input, alg.n)
     final = qsim.simulate(alg, x, trace=args.trace)
     show = float if args.float else str

@@ -25,6 +25,9 @@ from typing import Optional, Sequence, Union
 from .boolfn import BooleanFunction, InputAssignment, coerce_input, complement_symmetric
 
 FLOAT_TOLERANCE = 1e-9
+# Largest algorithm dimension: the exact unitarity check is dim**3 scalar
+# products per layer, 0.33 s for one dim-64 layer and 3.8 s at dim 128.
+MAX_DIM = 64
 
 
 def _ratio(n: int, d: int) -> str:
@@ -262,6 +265,8 @@ class QueryAlgorithm:
         self.tolerance = tolerance
         if dim < 1:
             raise ValueError(f"dim must be at least 1, got {dim}")
+        if dim > MAX_DIM:
+            raise ValueError(f"dim must be at most {MAX_DIM}, got {dim}")
         if n < 1:
             raise ValueError(f"n must be at least 1, got {n}")
         if len(self.outputs) != dim:
@@ -474,6 +479,8 @@ def algorithm_from_json_dict(data: dict, tolerance: float = 0) -> QueryAlgorithm
         )
     if type(raw_layers) is not list:
         raise ValueError(f"malformed algorithm JSON: layers must be a list of objects, got {raw_layers!r}")
+    # dim, n and outputs are checked before any layer's dim**2 entries are parsed
+    QueryAlgorithm(dim, n, (), outputs)
     layers: list[Layer] = []
     for number, entry in enumerate(raw_layers, 1):
         if type(entry) is not dict:

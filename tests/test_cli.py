@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from exactquery import boolfn, cli, lowdeg
+from exactquery import boolfn, cli, lowdeg, qsim
 from exactquery.boolfn import BooleanFunction
 
 
@@ -627,9 +628,123 @@ USAGE_ERRORS = [
     *(usage(f"fit-collapser-values-{name}", ["fit-collapser", "--values", values],
             f"argument --values: {values!r} is not a comma-separated list of integers")
       for name, values in (("1,x", "1,x"), ("empty", ""), ("plus-space-underscore", "+1, 0,0,1_0"))),
+    # too deep for json.load (a RecursionError), or, where the interpreter's
+    # limit is higher, not a table or algorithm: either way an input error
+    *(usage(f"{argv.split()[0]}-nested-2000", argv, f"cannot load {kind} '", "[" * 2000)
+      for argv, kind in ((ANALYZE_FILE, "function"), ("simulate --alg FILE --input 0", "algorithm"))),
+    usage("analyze-nested-table-hex", ANALYZE_FILE, "cannot load function '",
+          '{"n": 9, "table_hex": ' + "[" * 2000 + '"00"' + "]" * 2000 + "}"),
+    # builtin:NAME is a builtin only, for algorithms as for functions
+    usage("simulate-builtin-a3", "simulate --alg builtin:a3 --input 000",
+          "unknown builtin algorithm 'a3'; builtins are a1, a2"),
+    usage("simulate-a3-no-such-file", "simulate --alg a3 --input 000",
+          "cannot load algorithm 'a3': no such file, and unknown builtin algorithm 'a3'"),
+    usage("simulate-dim-over-max-dim", "simulate --alg FILE --input 0", "dim must be at most 64, got 65",
+          {"dim": 65, "n": 1, "layers": [], "outputs": [0] * 65}),
 ]
 
 
 @pytest.mark.parametrize("argv, message, payload, code", USAGE_ERRORS)
 def test_usage_error(tmp_path, capsys, argv, message, payload, code):
     usage_error(tmp_path, capsys, argv, message, payload, code)
+
+
+def test_simulate_refuses_over_cap_dim_before_parsing_a_layer(tmp_path, capsys, monkeypatch):
+    # a dim-400 identity took 4 s to parse and 146 s to check for unitarity
+    def no_parse(text):
+        raise AssertionError("a layer entry was parsed")
+
+    monkeypatch.setattr(qsim, "parse_scalar", no_parse)
+    identity = [["1" if i == j else "0" for j in range(400)] for i in range(400)]
+    usage_error(tmp_path, capsys, "simulate --alg FILE --input 0", "dim must be at most 64, got 400",
+                {"dim": 400, "n": 1, "layers": [{"unitary": identity}] * 2, "outputs": [0] * 400})
+
+
+# ---------------------------------------------------------------------------
+# decoder fuzz: mutated golden tables and algorithms exit 0 or 2
+# ---------------------------------------------------------------------------
+
+FUZZ_SEED = 977
+FUZZ_MUTANTS = 100
+FUZZ_TABLES = sorted(GOLDEN.glob("table-*.json"))
+FUZZ_ALGORITHM = GOLDEN / "alg-nondyadic.json"
+_HOLE = "\x00hole"  # stands in for the mutated value until its text is spliced in
+
+
+def _paths(value, path=()):
+    """The path of every value in a decoded JSON document, starting with the root's, ()."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, child in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from _paths(child, path + (key,))
+
+
+def _splice(doc, path, text):
+    """``doc`` as JSON with the value at ``path`` replaced by the JSON ``text``."""
+    if not path:
+        return text
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = _HOLE
+    return json.dumps(doc).replace(json.dumps(_HOLE), text)
+
+
+def _mutant(rng, raw):
+    """One mutation of the JSON bytes ``raw``: bit flips, a changed digit, a
+    truncation, a type swap, a value wrapped in up to 2000 brackets, or an
+    ``n``, ``dim`` or query variable of 400 to 5000 digits."""
+    kind = rng.choice(("flip", "digit", "truncate", "swap", "nest", "huge"))
+    out = bytearray(raw)
+    if kind == "flip":
+        for _ in range(rng.randint(1, 3)):
+            out[rng.randrange(len(out))] ^= 1 << rng.randrange(8)
+        return bytes(out)
+    if kind == "digit":  # often still a valid document: a table entry or an output label
+        out[rng.choice([i for i, b in enumerate(raw) if chr(b).isdigit()])] = rng.choice(b"0123456789")
+        return bytes(out)
+    if kind == "truncate":
+        return raw[:rng.randrange(len(raw))]
+    doc = json.loads(raw)
+    paths = list(_paths(doc))
+    if kind == "huge":
+        paths = [p for p in paths if p[-1:] in (("n",), ("dim",)) or (len(p) == 4 and p[2] == "query")]
+        digits = rng.randint(400, 5000)
+        text = rng.choice(("", "-")) + str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=digits - 1))
+    path = rng.choice(paths)
+    if kind == "swap":
+        text = rng.choice((str(rng.randint(-2, 70)), "2.5", '"1"', '"00"', "[]", "[1, 0]", "{}",
+                           "null", "true", "false"))
+    elif kind == "nest":
+        value = doc
+        for key in path:
+            value = value[key]
+        depth = rng.randint(1, 2000)
+        text = "[" * depth + json.dumps(value) + "]" * depth
+    return _splice(doc, path, text).encode()
+
+
+def test_mutated_files_exit_0_or_2(tmp_path, capsys):
+    rng = random.Random(FUZZ_SEED)
+    tables = [p.read_bytes() for p in FUZZ_TABLES]
+    algorithm = FUZZ_ALGORITHM.read_bytes()
+    path = tmp_path / "mutant.json"
+    codes = set()
+    for i in range(FUZZ_MUTANTS):
+        # even mutants are of the algorithm, odd ones of a table
+        mutant = _mutant(rng, rng.choice(tables) if i % 2 else algorithm)
+        path.write_bytes(mutant)
+        for argv in (["analyze", str(path)], ["simulate", "--alg", str(path), "--input", "1"]):
+            where = f"mutant {i} of seed {FUZZ_SEED}, {argv[0]}: {mutant[:120]!r}"
+            try:
+                code = cli.main(argv)
+            except (Exception, SystemExit) as exc:
+                pytest.fail(f"{where}: {type(exc).__name__} escaped main: {exc}"[:2000])
+            out = capsys.readouterr().out
+            codes.add(code)
+            assert code in (0, 2), where
+            if code == 2:
+                assert out == "", where
+            else:
+                json.loads(out)
+    assert codes == {0, 2}  # some mutants decode and run to the end
