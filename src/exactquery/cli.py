@@ -71,6 +71,12 @@ def _named_algorithm(name: str) -> qsim.QueryAlgorithm:
     return qsim.a1() if name == "a1" else qsim.a2()
 
 
+def _json_int(text: str) -> int:
+    if len(text) > 18:  # no valid field is this long; int() refuses over 4300 digits
+        raise ValueError(f"a JSON integer of {len(text)} characters; at most 18")
+    return int(text)
+
+
 def _load(kind: str, spec: str, builtin: Callable[[str], Any], decode: Callable[[Any], Any]) -> Any:
     """builtin:NAME is a builtin only; a bare spec is a builtin, else a JSON file."""
     name = spec.removeprefix("builtin:")
@@ -82,7 +88,7 @@ def _load(kind: str, spec: str, builtin: Callable[[str], Any], decode: Callable[
         builtin_error = exc
     try:
         with open(spec, "r", encoding="utf-8") as fh:
-            return decode(json.load(fh))
+            return decode(json.load(fh, parse_int=_json_int))
     except FileNotFoundError:
         raise ValueError(f"cannot load {kind} {spec!r}: no such file, and {builtin_error}") from None
     # deep nesting raises RecursionError, in json.load or in a decoder's repr of a value

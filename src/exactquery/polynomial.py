@@ -83,14 +83,7 @@ def _mobius16() -> np.ndarray:
     return t
 
 
-def _log2_size(a: np.ndarray) -> int:
-    n = int(a.size).bit_length() - 1
-    if a.size != 1 << n:
-        raise ValueError("table length must be a power of two")
-    return n
-
-
-def _subset_transform(a: np.ndarray, bits: int, run: int = 1) -> np.ndarray:
+def _subset_transform(a: np.ndarray, bits: int, run: int) -> np.ndarray:
     """In-place subset (Mobius) transform, values to coefficients, of a
     contiguous array over the low ``bits`` bits of ``index // run``, one pass
     per bit.
@@ -98,6 +91,8 @@ def _subset_transform(a: np.ndarray, bits: int, run: int = 1) -> np.ndarray:
     The passes run with numpy's ufunc buffer at ``_BUFSIZE`` elements; the
     caller's size is restored on return.
     """
+    if not bits:  # setting the buffer size alone takes 1-2 us (numpy 2.4.6)
+        return a
     old = np.setbufsize(_BUFSIZE)
     try:
         for b in range(bits):
@@ -106,17 +101,6 @@ def _subset_transform(a: np.ndarray, bits: int, run: int = 1) -> np.ndarray:
     finally:
         np.setbufsize(old)
     return a
-
-
-def mobius_coefficients(table: np.ndarray) -> np.ndarray:
-    """Multilinear coefficients of a 0/1 table, as an int32 array by mask.
-
-    Every coefficient, and every intermediate value of the transform, is an
-    alternating sum of 0/1 values over at most 2^n subsets, so its magnitude
-    is at most 2^(n-1): int32 is exact for n <= 31, beyond ``boolfn.MAX_N``.
-    """
-    a = np.asarray(table).astype(np.int32)
-    return _subset_transform(a, _log2_size(a))
 
 
 def _cpus() -> int:
@@ -171,57 +155,18 @@ def _each(step: Callable[[int], Any], count: int, workers: int) -> list:
     return results
 
 
-def table_degree(
-    table: Union[np.ndarray, Callable[[int, int], np.ndarray]], n: Optional[int] = None
-) -> int:
-    """Degree of the representing polynomial of a 0/1 table of length 2^n.
-
-    ``table`` is the array or, with ``n`` given, a row source: a function
-    that returns the table's entries ``[start, stop)``.  Stage 1 asks it
-    for each aligned power-of-two range of one block exactly once, so a
-    source that builds each range (``ConstructedFunction.table``) never
-    holds the whole table.  From n = ``_THREADED_N`` on, the source is
-    called from several threads at once and the ranges come in order only
-    within one thread; below it, all in order from the calling thread.
-
-    Two cache-sized stages, without any 2^n-entry int32 array.  Index
-    hi * 2^L + lo, L = min(n, 15), is row hi and column lo of one int16
-    array.  Stage 1 runs the L low-bit passes on blocks of whole rows: it
-    packs each 16 entries into a uint16 and looks up their transform (the 4
-    lowest bits) in transposed order, bits 4-6 outermost, so that those 3
-    bits' passes run in int8 on long runs; one copy widens the block to
-    int16 and puts it back in index order, and the rest of the passes run in
-    int16.  Stage 2 runs the high-bit passes in int32 on one column slab at
-    a time, keeping the largest popcount(hi) + popcount(lo) over the slab's
-    nonzero entries.  Every pass runs with numpy's ufunc buffer lowered to
-    ``_BUFSIZE`` elements, restored on return: a run shorter than half the
-    default 8192 goes through the buffer, and runs of 1024-2048 int16 then
-    cost 0.29-0.37 ns a subtraction against 0.09-0.13 ns unbuffered (numpy
-    2.4.6).  A table with n < 4 gets dummy high variables, which leave the
-    degree unchanged.
-
-    From n = ``_THREADED_N`` on, the blocks of stage 1 and then the slabs
-    of stage 2 are shared among one thread per available CPU (``_each``),
-    which are all joined before this returns or raises.  Blocks write
-    disjoint rows and the degree is the largest slab result, so it does not
-    depend on the order in which they run; numpy keeps the ufunc buffer
-    size per thread.
-
-    Raises ValueError if an entry is not 0 or 1 (checked block by block, as
-    packing would read any nonzero entry as 1); with several bad blocks,
-    the first one's.
-    """
+def _low_passes(table: Union[np.ndarray, Callable[[int, int], np.ndarray]], n: Optional[int]) -> np.ndarray:
+    """``table_degree``'s stage 1 on its arguments, raising as it does: its int16 array."""
     if n is None:
         array = np.asarray(table)
-        n, table = _log2_size(array), lambda start, stop: array[start:stop]
+        n, table = int(array.size).bit_length() - 1, lambda start, stop: array[start:stop]
+        if array.size != 1 << n:
+            raise ValueError("table length must be a power of two")
     if n < 4:
         array = np.tile(table(0, 1 << n), 16 >> n)
         n, table = 4, lambda start, stop: array[start:stop]
-    workers = _cpus() if n >= _THREADED_N else 1
     low = min(n, _LOW_BITS)
-    high = n - low
-    width = 1 << low
-    mid = np.empty((1 << high, width), dtype=np.int16)
+    mid = np.empty((1 << (n - low), 1 << low), dtype=np.int16)
     block = min(_BLOCK, 1 << n)
     narrow = min(low, 7)
     lookup = _mobius16()
@@ -238,8 +183,46 @@ def table_degree(
         seg.reshape(ids.shape + (16,))[...] = seg8.transpose(1, 0, 2)
         _subset_transform(seg, low - narrow, 1 << narrow)
 
-    _each(stage1, (1 << n) // block, workers)
+    _each(stage1, (1 << n) // block, _cpus() if n >= _THREADED_N else 1)
+    return mid
 
+
+def table_degree(
+    table: Union[np.ndarray, Callable[[int, int], np.ndarray]], n: Optional[int] = None
+) -> int:
+    """Degree of the representing polynomial of a 0/1 table of length 2^n.
+
+    ``table`` is the array or, with ``n`` given, a row source: a function
+    that returns the table's entries ``[start, stop)``.  Stage 1 asks it
+    for each aligned power-of-two range of one block exactly once, so a
+    source that builds each range (``ConstructedFunction.table``) never
+    holds the whole table.  From n = ``_THREADED_N`` on, the source is
+    called from several threads at once and the ranges come in order only
+    within one thread; below it, all in order from the calling thread.
+
+    Two cache-sized stages, without any 2^n-entry int32 array.  Stage 1
+    (``_low_passes``) runs the L = min(n, 15) low-bit passes into one int16
+    array, index hi * 2^L + lo at row hi and column lo, on blocks of whole
+    rows as the comment on ``_LOW_BITS`` describes.  Stage 2 runs the
+    high-bit passes in int32 on one column slab at a time, keeping the
+    largest popcount(hi) + popcount(lo) over the slab's nonzero entries.
+    Every pass runs with numpy's ufunc buffer lowered to ``_BUFSIZE``
+    elements, restored on return.  The dummy high variables of a table
+    with n < 4 leave the degree unchanged.
+
+    From n = ``_THREADED_N`` on, the blocks of stage 1 and then the slabs
+    of stage 2 are shared among one thread per available CPU (``_each``),
+    which are all joined before this returns or raises.  Blocks write
+    disjoint rows and the degree is the largest slab result, so it does not
+    depend on the order in which they run; numpy keeps the ufunc buffer
+    size per thread.
+
+    Raises ValueError if an entry is not 0 or 1 (checked block by block, as
+    packing would read any nonzero entry as 1); with several bad blocks,
+    the first one's.
+    """
+    mid = _low_passes(table, n)
+    high, width = mid.shape[0].bit_length() - 1, mid.shape[1]
     pc = _popcount16()
     cols = min(width, _SLAB >> high)
     # popcount(hi) + popcount(lo - c0) by slab entry, as c0 is a multiple of
@@ -252,7 +235,20 @@ def table_degree(
         return int(((weight + (pc[c0] + 1)) * (slab != 0)).max()) - 1
 
     # an all-zero slab gives -1, and a constant table has degree 0
-    return max([0, *_each(stage2, width // cols, workers)])
+    return max([0, *_each(stage2, width // cols, _cpus() if mid.size >= 1 << _THREADED_N else 1)])
+
+
+def mobius_coefficients(table: np.ndarray) -> np.ndarray:
+    """Multilinear coefficients of a 0/1 table, as an int32 array by mask.
+
+    Every coefficient, and every intermediate value of the transform, is an
+    alternating sum of 0/1 values over at most 2^n subsets, so its magnitude
+    is at most 2^(n-1): int32 is exact for n <= 31, beyond ``boolfn.MAX_N``.
+    Runs ``table_degree``'s stage 1, raising as it does, then the high-bit passes.
+    """
+    c = _low_passes(table, None).astype(np.int32)
+    _subset_transform(c, c.shape[0].bit_length() - 1, c.shape[1])
+    return c.reshape(-1)[: np.size(table)]  # n < 4 got dummy high variables
 
 
 def degree_of(f: BooleanFunction) -> int:

@@ -297,8 +297,6 @@ def suite_inequalities(count: int = 500, seed: int = DEFAULT_SEED) -> dict:
         d = boolfn.deterministic_complexity(f)
         tested += 1
         ok = s <= d and deg <= d and d <= n
-        if s == n and d != n:
-            ok = False
         if not ok:
             violations.append(
                 {"index": index, "n": n, "s": s, "deg": deg, "d": d, "qe_lower": (deg + 1) // 2}

@@ -641,12 +641,22 @@ USAGE_ERRORS = [
           "cannot load algorithm 'a3': no such file, and unknown builtin algorithm 'a3'"),
     usage("simulate-dim-over-max-dim", "simulate --alg FILE --input 0", "dim must be at most 64, got 65",
           {"dim": 65, "n": 1, "layers": [], "outputs": [0] * 65}),
+    # an integer longer than any valid field is refused before int() reads it: past
+    # 4300 digits int() refused with advice to call sys.set_int_max_str_digits(),
+    # and below that the whole number was echoed in a message of about 4 KB
+    usage("analyze-5000-digit-n", ANALYZE_FILE, "a JSON integer of 5000 characters; at most 18",
+          '{"n": ' + "9" * 5000 + ', "table_hex": "00"}'),
+    usage("simulate-4000-digit-dim", "simulate --alg FILE --input 0",
+          "a JSON integer of 4000 characters; at most 18",
+          '{"dim": ' + "9" * 4000 + ', "n": 1, "layers": [], "outputs": [0]}'),
 ]
 
 
 @pytest.mark.parametrize("argv, message, payload, code", USAGE_ERRORS)
 def test_usage_error(tmp_path, capsys, argv, message, payload, code):
-    usage_error(tmp_path, capsys, argv, message, payload, code)
+    err = usage_error(tmp_path, capsys, argv, message, payload, code)
+    # no message echoes a long input; argparse's own errors add its usage lines
+    assert len(err.replace(str(tmp_path), "")) < 200 or "usage:" in err
 
 
 def test_simulate_refuses_over_cap_dim_before_parsing_a_layer(tmp_path, capsys, monkeypatch):

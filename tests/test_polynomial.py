@@ -158,6 +158,12 @@ def reference_passes(table, bits):
     return coeffs
 
 
+def assert_coefficients_match_reference(table, n):
+    """mobius_coefficients equals the reference, shape included: 2^n
+    coefficients also for n < 4, where the kernel pads the table to 16."""
+    assert np.array_equal(polynomial.mobius_coefficients(table), reference_passes(table, n))
+
+
 def reference_degree(table):
     """The full reference transform, then the largest popcount."""
     n = table.size.bit_length() - 1
@@ -209,6 +215,7 @@ def test_table_degree_matches_reference(n, shrunk, monkeypatch):
     tables = kernel_tables(np.random.default_rng(100 + n), n)
     for name, table in tables.items():
         assert polynomial.table_degree(table) == reference_degree(table), name
+        assert_coefficients_match_reference(table, n)
     # from n = 7 on, parity's values after the lookup and the 3 int8 passes
     # reach that stage's bound of 64 = 2^6 exactly, so one more int8 pass
     # would overflow; from n = 15 on, its values after the 15 int16 passes
@@ -223,6 +230,7 @@ def test_table_degree_matches_reference_at_7_low_bits(n, monkeypatch):
     shrink_blocks(monkeypatch, 7)
     for name, table in kernel_tables(np.random.default_rng(200 + n), n).items():
         assert polynomial.table_degree(table) == reference_degree(table), name
+        assert_coefficients_match_reference(table, n)
 
 
 # shrunk to 5 low bits, a 2^13-entry slab holds a whole column up to n = 18
@@ -261,6 +269,8 @@ def test_table_degree_refuses_entries_other_than_0_and_1(bad, monkeypatch):
     table[300] = bad
     with pytest.raises(ValueError, match="0 or 1"):
         polynomial.table_degree(table)
+    with pytest.raises(ValueError, match="0 or 1"):
+        polynomial.mobius_coefficients(table)
     # a row source is checked block by block: the bad entry sits in the
     # third of four blocks
     shrink_blocks(monkeypatch)
@@ -268,6 +278,8 @@ def test_table_degree_refuses_entries_other_than_0_and_1(bad, monkeypatch):
         polynomial.table_degree(lambda start, stop: table[start:stop], 9)
     with pytest.raises(ValueError, match="0 or 1"):
         polynomial.table_degree(np.array([0, bad]))
+    with pytest.raises(ValueError, match="0 or 1"):
+        polynomial.mobius_coefficients(np.array([0, bad]))
 
 
 def test_table_degree_accepts_bool_and_uint8_tables():
@@ -396,7 +408,8 @@ def test_each_hands_out_no_item_after_a_failure():
 @pytest.mark.parametrize("n", range(4, 21))
 def test_threaded_degree_equals_one_worker(n, monkeypatch):
     rng = np.random.default_rng(300 + n)
-    sources = {name: (lambda start, stop, t=t: t[start:stop]) for name, t in kernel_tables(rng, n).items()}
+    tables = kernel_tables(rng, n)
+    sources = {name: (lambda start, stop, t=t: t[start:stop]) for name, t in tables.items()}
     if any(n % b == 0 for b in range(2, n // 2 + 1)):
         sources["composition"] = random_composition(rng, n)
     thread_blocks(monkeypatch, n)
@@ -405,6 +418,8 @@ def test_threaded_degree_equals_one_worker(n, monkeypatch):
         assert polynomial.table_degree(source, n) == expected, name
     assert polynomial.table_degree(sources["zero"], n) == 0
     assert polynomial.table_degree(sources["one"], n) == 0
+    for table in tables.values():
+        assert_coefficients_match_reference(table, n)
 
 
 @pytest.mark.parametrize("n", [9, 16])
