@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
+
+from . import polynomial
 
 MAX_N = 27
 DEFAULT_DCAP = 12
@@ -34,6 +36,30 @@ def parse_int(text: str) -> int:
     if not _INTEGER.fullmatch(text):
         raise ValueError(f"{text!r} is not an integer")
     return int(text)
+
+
+def parse_spec(spec: str, usages: Iterable[str]) -> Optional[tuple[str, list[int]]]:
+    """The usage of ``usages`` that ``spec`` names, with its parameters, or
+    None: the one NAME[:PARAMS] grammar of outside input.  Usage NAME matches
+    only NAME; NAME:P1,...,Pk matches NAME with or without a colon, and then
+    raises a ValueError naming it unless k comma-separated ``parse_int``
+    integers follow the colon.
+    """
+    name, colon, arg = spec.partition(":")
+    for usage in usages:
+        head, parametric, places = usage.partition(":")
+        if head != name or (colon and not parametric):
+            continue
+        if not parametric:
+            return usage, []
+        params = arg.split(",")
+        try:
+            if len(params) == places.count(",") + 1:
+                return usage, [parse_int(p) for p in params]
+        except ValueError:
+            pass
+        raise ValueError(f"expected {usage} with integer parameters")
+    return None
 
 
 @dataclass(frozen=True)
@@ -205,21 +231,19 @@ TABLE2_COLUMNS: tuple[tuple[int, ...], ...] = (
 
 def named_function(name: str) -> BooleanFunction:
     """Builtin functions: F3, G4, table1:i and table2:i with i in 1..8."""
-    low = name.strip().lower()
-    if low == "f3":
+    try:
+        usage, params = parse_spec(name.strip().lower(), ("f3", "g4", "table1:I", "table2:I")) or ("", [])
+    except ValueError:
+        usage = ""
+    if usage == "f3":
         # (x1 == x2) and (x1 != x3): 1 on 001 and 110
         return BooleanFunction(3, TABLE1_COLUMNS[1])
-    if low == "g4":
+    if usage == "g4":
         # (x1 != x2) and (x3 != x4)
         return BooleanFunction(4, TABLE2_COLUMNS[0])
-    for prefix, columns in (("table1:", TABLE1_COLUMNS), ("table2:", TABLE2_COLUMNS)):
-        if low.startswith(prefix):
-            try:
-                i = parse_int(low[len(prefix):])
-            except ValueError:
-                break
-            if 1 <= i <= 8:
-                return BooleanFunction(3 if prefix == "table1:" else 4, columns[i - 1])
+    if usage and 1 <= params[0] <= 8:
+        n, columns = (3, TABLE1_COLUMNS) if usage == "table1:I" else (4, TABLE2_COLUMNS)
+        return BooleanFunction(n, columns[params[0] - 1])
     raise ValueError(
         f"unknown builtin function {name!r}; builtins are F3, G4, table1:1..8, table2:1..8"
     )
@@ -425,8 +449,6 @@ def deterministic_complexity(f: BooleanFunction) -> int:
     n = f.n
     if n > MAX_DCAP:
         raise ValueError(f"exact depth needs 3**n states; capped at n={MAX_DCAP}, got n={n}")
-    from . import polynomial
-
     if _proves_full_depth(polynomial.mobius_coefficients(f.table())):
         return n
     depth, _ = _partial_assignment_tables(f)
@@ -558,8 +580,6 @@ class ComplexityReport:
 
 def complexity_report(f: BooleanFunction, dcap: int = DEFAULT_DCAP) -> ComplexityReport:
     """Every measure of f; the exact depth is None when f has more than ``dcap`` variables."""
-    from . import polynomial
-
     d_exact = None if f.n > dcap else deterministic_complexity(f)
     s = sensitivity(f)
     deg = polynomial.degree_of(f)

@@ -140,19 +140,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if passed else EXIT_FAIL
 
 
-_FAMILIES = {"f3k": ("f3k:K", lowdeg.build_f3k), "lemma3": ("lemma3:K,T", lowdeg.build_lemma3)}
+_FAMILIES = {"f9": lowdeg.build_f9, "f12": lowdeg.build_f12, "f3k:K": lowdeg.build_f3k,
+             "lemma3:K,T": lowdeg.build_lemma3}  # keyed by boolfn.parse_spec usage
 
 
 def _parse_family(spec: str) -> lowdeg.ConstructedFunction:
-    if spec == "f9":
-        return lowdeg.build_f9()
-    if spec == "f12":
-        return lowdeg.build_f12()
-    name, _, arg = spec.partition(":")
-    if name not in _FAMILIES:
+    usage, params = boolfn.parse_spec(spec, _FAMILIES) or ("", [])
+    if not usage:
         raise ValueError(f"unknown family {spec!r}")
-    usage, build = _FAMILIES[name]
-    return build(*suites.parse_params(usage, arg))
+    return _FAMILIES[usage](*params)
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
@@ -218,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("construct", help="emit a constructed family member")
-    p.add_argument("--family", required=True, help="f9 | f12 | f3k:K | lemma3:K,T")
+    p.add_argument("--family", required=True, help=" | ".join(_FAMILIES))
     p.add_argument("--emit", choices=("table", "poly", "report"), default="report")
     p.add_argument("--mode", choices=("auto", "exact", "composition"), default="auto")
     p.set_defaults(handler=_cmd_construct)

@@ -18,11 +18,12 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .boolfn import BooleanFunction
+if TYPE_CHECKING:  # boolfn imports this module
+    from .boolfn import BooleanFunction
 
 # construct --emit poly writes one JSON term per nonzero coefficient, up to
 # 2^24 of them; every 2^n array is otherwise bounded by boolfn.MAX_N alone
@@ -39,8 +40,8 @@ INTERPOLATION_CAP = 24
 # every operand of a pass through its ufunc buffer when the pass's
 # contiguous run is shorter than half the buffer size (8192 elements by
 # default): on 2^19 int16 entries, runs of 1024-2048 cost 0.29-0.37 ns a
-# subtraction and runs from 4096 on 0.09-0.13 ns.  So every pass runs with
-# the buffer lowered to _BUFSIZE.
+# subtraction and runs from 4096 on 0.09-0.13 ns.  So every worker of
+# _each runs its passes with the buffer lowered to _BUFSIZE.
 _LOW_BITS = 15
 _BLOCK = 1 << 19
 _SLAB = 1 << 18
@@ -52,6 +53,9 @@ _BUFSIZE = 1 << 11
 # 0.54-0.68, the upper ends in phases when the second vCPU was busy.  An
 # f3k:7 table (n = 21) sets certify's median op, so it stays on one thread
 _THREADED_N = 22
+# fit_range_polynomial's cap: the paper's collapsers need at most 16 values,
+# and an exact fit's denominators grow like k! (29.5 s at 800 values)
+MAX_SAMPLE_VALUES = 64
 
 
 @functools.cache
@@ -86,20 +90,11 @@ def _mobius16() -> np.ndarray:
 def _subset_transform(a: np.ndarray, bits: int, run: int) -> np.ndarray:
     """In-place subset (Mobius) transform, values to coefficients, of a
     contiguous array over the low ``bits`` bits of ``index // run``, one pass
-    per bit.
-
-    The passes run with numpy's ufunc buffer at ``_BUFSIZE`` elements; the
-    caller's size is restored on return.
+    per bit, with the calling thread's numpy ufunc buffer size.
     """
-    if not bits:  # setting the buffer size alone takes 1-2 us (numpy 2.4.6)
-        return a
-    old = np.setbufsize(_BUFSIZE)
-    try:
-        for b in range(bits):
-            v = a.reshape(-1, 2, run << b)
-            np.subtract(v[:, 1, :], v[:, 0, :], out=v[:, 1, :])
-    finally:
-        np.setbufsize(old)
+    for b in range(bits):
+        v = a.reshape(-1, 2, run << b)
+        np.subtract(v[:, 1, :], v[:, 0, :], out=v[:, 1, :])
     return a
 
 
@@ -115,6 +110,7 @@ def _each(step: Callable[[int], Any], count: int, workers: int) -> list:
     """``[step(0), ..., step(count - 1)]``, each item run once by one of
     ``workers`` threads: the calling thread and ``workers - 1`` threads
     started here, every one of them joined before this returns or raises.
+    Each runs its items with numpy's ufunc buffer at ``_BUFSIZE`` elements.
 
     Items are handed out in index order, and none after an item has raised;
     the exception of the lowest-indexed failing item is then re-raised.
@@ -127,16 +123,20 @@ def _each(step: Callable[[int], Any], count: int, workers: int) -> list:
     lock = threading.Lock()
 
     def work() -> None:
-        while True:
-            with lock:
-                if errors or not pending:
-                    return
-                i = pending.pop()
-            try:
-                results[i] = step(i)
-            except BaseException as exc:  # re-raised by the calling thread
+        old = np.setbufsize(_BUFSIZE)
+        try:
+            while True:
                 with lock:
-                    errors[i] = exc
+                    if errors or not pending:
+                        return
+                    i = pending.pop()
+                try:
+                    results[i] = step(i)
+                except BaseException as exc:  # re-raised by the calling thread
+                    with lock:
+                        errors[i] = exc
+        finally:
+            np.setbufsize(old)
 
     threads: list[threading.Thread] = []
     try:
@@ -206,9 +206,9 @@ def table_degree(
     rows as the comment on ``_LOW_BITS`` describes.  Stage 2 runs the
     high-bit passes in int32 on one column slab at a time, keeping the
     largest popcount(hi) + popcount(lo) over the slab's nonzero entries.
-    Every pass runs with numpy's ufunc buffer lowered to ``_BUFSIZE``
-    elements, restored on return.  The dummy high variables of a table
-    with n < 4 leave the degree unchanged.
+    Both stages' passes run in ``_each``, with numpy's ufunc buffer at
+    ``_BUFSIZE`` elements.  The dummy high variables of a table with n < 4
+    leave the degree unchanged.
 
     From n = ``_THREADED_N`` on, the blocks of stage 1 and then the slabs
     of stage 2 are shared among one thread per available CPU (``_each``),
@@ -244,7 +244,8 @@ def mobius_coefficients(table: np.ndarray) -> np.ndarray:
     Every coefficient, and every intermediate value of the transform, is an
     alternating sum of 0/1 values over at most 2^n subsets, so its magnitude
     is at most 2^(n-1): int32 is exact for n <= 31, beyond ``boolfn.MAX_N``.
-    Runs ``table_degree``'s stage 1, raising as it does, then the high-bit passes.
+    Runs ``table_degree``'s stage 1, raising as it does, then the high-bit
+    passes on the whole array: runs of 2^15 or more, which numpy does not buffer.
     """
     c = _low_passes(table, None).astype(np.int32)
     _subset_transform(c, c.shape[0].bit_length() - 1, c.shape[1])
@@ -299,9 +300,11 @@ def fit_range_polynomial(values: Sequence[Union[int, Fraction]]) -> RangePolynom
     Newton forward differences on the integer nodes: the fitted polynomial is
     sum_i diff_i * binom(z, i), expanded to monomial coefficients exactly.
     """
-    vals = [Fraction(v) for v in values]
-    if len(vals) < 2:
+    if len(values) < 2:
         raise ValueError("need at least two sample values")
+    if len(values) > MAX_SAMPLE_VALUES:
+        raise ValueError(f"at most {MAX_SAMPLE_VALUES} sample values, got {len(values)}")
+    vals = [Fraction(v) for v in values]
     diffs = []
     row = vals
     for _ in range(len(vals)):

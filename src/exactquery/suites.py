@@ -316,7 +316,8 @@ class UnknownSuite(ValueError):
     """A suite name that names no suite."""
 
 
-_PLAIN: dict[str, Callable[[], dict]] = {
+# keyed by boolfn.parse_spec usage, in the order the unknown-suite message lists them
+_SUITES: dict[str, Callable[..., dict]] = {
     "a1": suite_a1,
     "a2": suite_a2,
     "table1": suite_table1,
@@ -325,29 +326,12 @@ _PLAIN: dict[str, Callable[[], dict]] = {
     "relabel4": suite_relabel4,
     "compose": suite_compose,
     "example1": suite_example1,
-}
-_PARAMETRIC = {"lemma2": ("lemma2:K", suite_lemma2), "lemma3": ("lemma3:K,T", suite_lemma3)}
-
-
-_SAMPLED: dict[str, Callable[..., dict]] = {
     "lemma1": suite_lemma1,
     "inequalities": suite_inequalities,
+    "lemma2:K": suite_lemma2,
+    "lemma3:K,T": suite_lemma3,
 }
-
-
-def parse_params(usage: str, arg: str) -> list[int]:
-    """The integer parameters ``arg`` after the colon of a ``usage`` such as
-    "lemma3:K,T"; a ValueError names the usage when they do not fit it.
-
-    Each parameter is ASCII ``-?[0-9]+`` (``boolfn.parse_int``).
-    """
-    params = arg.split(",")
-    try:
-        if len(params) == usage.count(",") + 1:
-            return [boolfn.parse_int(p) for p in params]
-    except ValueError:
-        pass
-    raise ValueError(f"expected {usage} with integer parameters")
+_SAMPLED = ("lemma1", "inequalities")
 
 
 def run_suite(spec: str, count: Optional[int] = None, seed: Optional[int] = None) -> dict:
@@ -362,19 +346,13 @@ def run_suite(spec: str, count: Optional[int] = None, seed: Optional[int] = None
     if count is not None and count < 1:
         raise ValueError(f"count must be a positive integer, got {count}")
     options = {key: value for key, value in (("count", count), ("seed", seed)) if value is not None}
-    name, colon, arg = spec.partition(":")
-    if name in _SAMPLED and not colon:
-        return _SAMPLED[name](**options)
-    if name in _PARAMETRIC:
-        usage, suite = _PARAMETRIC[name]
-        params = parse_params(usage, arg)
-    elif name in _PLAIN and not colon:
-        suite, params = _PLAIN[name], []
-    else:
-        names = [*_PLAIN, *_SAMPLED] + [usage for usage, _ in _PARAMETRIC.values()]
-        raise UnknownSuite(f"{spec!r}; suites are {', '.join(names)}")
+    usage, params = boolfn.parse_spec(spec, _SUITES) or ("", [])
+    if not usage:
+        raise UnknownSuite(f"{spec!r}; suites are {', '.join(_SUITES)}")
+    if usage in _SAMPLED:
+        return _SUITES[usage](**options)
     if options:
         raise ValueError(
             f"takes no {' or '.join(options)}; only {' and '.join(_SAMPLED)} are sampled"
         )
-    return suite(*params)
+    return _SUITES[usage](*params)

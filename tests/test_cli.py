@@ -55,6 +55,15 @@ def test_analyze_builtin_f3(capsys):
     assert doc["complement_symmetric"] is True
 
 
+def test_analyze_builtin_names_are_case_insensitive(capsys):
+    def stdout(name):
+        assert cli.main(["analyze", f"builtin:{name}"]) == 0
+        return capsys.readouterr().out
+
+    assert stdout("TABLE1:2") == stdout("table1:2")
+    assert stdout("f3") == stdout("F3")
+
+
 def test_analyze_builtin_g4(capsys):
     code, doc = run(capsys, "analyze", "builtin:G4")
     assert code == 0
@@ -616,6 +625,14 @@ USAGE_ERRORS = [
             f"suite lemma2:{param}: expected lemma2:K with integer parameters")
       for name, param in (("underscore", "0_3"), ("space", " 3"), ("plus", "+3"),
                           ("arabic-indic", "\u0663"))),
+    # NAME matches a plain usage only without a colon, NAME:PARAMS with or without one
+    *(usage(f"construct-family-{spec}", f"construct --family {spec}", message)
+      for spec, message in (("f9:", "unknown family 'f9:'"), ("f12:3", "unknown family 'f12:3'"),
+                            ("f3k", "expected f3k:K with integer parameters"))),
+    *(usage(f"verify-suite-{suite}", f"verify --suite {suite}", f"suite {suite}: expected {form} with integer parameters")
+      for suite, form in (("lemma2", "lemma2:K"), ("lemma3:3", "lemma3:K,T"))),
+    *(usage(f"analyze-builtin-{name}", f"analyze builtin:{name}", f"unknown builtin function {name!r}; {BUILTINS}")
+      for name in ("table1:2,3", "F3:", "table1")),
     usage("construct-parameter-arabic-indic", ["construct", "--family", "f3k:\u0665"],
           "expected f3k:K with integer parameters"),
     usage("construct-poly-over-cap", "construct --family f3k:9 --emit poly",
@@ -625,6 +642,9 @@ USAGE_ERRORS = [
       for mode, emit in (("exact", "table"), ("composition", "poly"))),
     usage("fit-collapser-even-k", "fit-collapser --k 4", "k must be odd and in 3..15, got 4"),
     usage("fit-collapser-one-value", "fit-collapser --values 1", "need at least two sample values"),
+    # 800 values took 29.5 s and wrote 2.3 MB; 1600 failed after 416 s past int's 4300-digit limit
+    usage("fit-collapser-65-values", ["fit-collapser", "--values", ",".join(["1", "0"] * 32 + ["1"])],
+          "at most 64 sample values, got 65"),
     *(usage(f"fit-collapser-values-{name}", ["fit-collapser", "--values", values],
             f"argument --values: {values!r} is not a comma-separated list of integers")
       for name, values in (("1,x", "1,x"), ("empty", ""), ("plus-space-underscore", "+1, 0,0,1_0"))),
