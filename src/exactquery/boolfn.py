@@ -18,9 +18,9 @@ from . import polynomial
 
 MAX_N = 27
 DEFAULT_DCAP = 12
-# Largest n whose exact-depth tables stay under 1 GB: the 3**n-state sweeps
-# peak at about 4.3 bytes per state (tracemalloc, n = 14 and 15).  Larger n
-# is refused whatever the cap.
+# Largest n for exact depth: the 3**n-state tables and their sweeps peak at
+# about 2.34 bytes per state (tracemalloc, n = 14 and 15), 0.3 GB at n = 17
+# and 0.9 GB at n = 18, too near 1 GB.  Larger n is refused whatever the cap.
 MAX_DCAP = 17
 
 _BIT_CHARS = {"0": 0, "1": 1}
@@ -28,13 +28,18 @@ _INTEGER = re.compile(r"-?[0-9]+")
 
 
 def parse_int(text: str) -> int:
-    """``text`` as an integer when it is ASCII ``-?[0-9]+``, else ValueError.
+    """``text`` as an integer when it is ASCII ``-?[0-9]+`` of at most 18
+    characters, else ValueError.
 
     The one integer grammar of outside input: ``int`` alone would also take
-    " 3", "+3", "0_3" and other scripts' digits.
+    " 3", "+3", "0_3" and other scripts' digits.  No valid field is longer
+    than 18 characters, and ``int`` refuses over 4300 digits with advice no
+    caller can act on.
     """
     if not _INTEGER.fullmatch(text):
         raise ValueError(f"{text!r} is not an integer")
+    if len(text) > 18:
+        raise ValueError(f"an integer of {len(text)} characters; at most 18")
     return int(text)
 
 
@@ -269,32 +274,17 @@ def sensitivity(f: BooleanFunction) -> int:
 
 
 def _axis_sweep(cube: np.ndarray, n: int) -> None:
-    """One depth sweep of ``_partial_assignment_tables``: ``_relax_depth(v0,
-    v1, v2)`` on each axis of the flat ``(3,) * n`` cube, ``v0``, ``v1`` and
-    ``v2`` being the views with that axis's digit at 0, 1 and 2, every other
-    digit aligned; ``v2`` is updated in place.
-    Axes ``0..k-1``, ``k = (n + 1) // 2``, are swept in the cube itself.  The
-    other axes are swept in one contiguous transposed copy, which is written
-    back at the end, so no view has an inner run shorter than ``3 ** (n // 2)``
-    entries: numpy pays its loop overhead per run, and runs of 3 or 9 made
-    the innermost axes cost more than all the others together.
+    """One depth sweep of ``_partial_assignment_tables``: on each axis of the
+    flat ``(3,) * n`` cube in turn, ``v2 = min(v2, 1 + max(v0, v1))`` in
+    place, ``v0``, ``v1`` and ``v2`` being the views with that axis's digit
+    at 0, 1 and 2, every other digit aligned.
     """
-    k = (n + 1) // 2
-    for a in range(k):
+    for a in range(n):
         v = cube.reshape(3**a, 3, -1)
-        _relax_depth(v[:, 0], v[:, 1], v[:, 2])
-    rows = cube.reshape(3**k, -1)
-    cols = np.ascontiguousarray(rows.T)
-    for a in range(n - k):
-        v = cols.reshape(3**a, 3, -1)
-        _relax_depth(v[:, 0], v[:, 1], v[:, 2])
-    rows[...] = cols.T
-
-
-def _relax_depth(v0: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> None:
-    worst = np.maximum(v0, v1)
-    worst += 1
-    np.minimum(v2, worst, out=v2)
+        worst = np.maximum(v[:, 0], v[:, 1])
+        worst += 1
+        np.minimum(v[:, 2], worst, out=v[:, 2])
+        del worst  # else it lives on beside the next axis's: two thirds of a cube
 
 
 def _partial_assignment_tables(f: BooleanFunction) -> tuple[np.ndarray, np.ndarray]:
@@ -317,16 +307,18 @@ def _partial_assignment_tables(f: BooleanFunction) -> tuple[np.ndarray, np.ndarr
     the other becomes the depth table.  Every depth pass goes through
     ``_axis_sweep``.  Depth starts at 0 on constant states and at
     ``n + 1`` elsewhere, and each sweep sets ``v2 = min(v2, 1 + max(v0, v1))``
-    on every axis, in place.  Values only fall and each stays an upper bound
-    on the true depth: ``n + 1`` exceeds every depth, and an update takes the
-    cost of a tree that queries that axis first.  After sweep ``t`` every
-    state of depth at most ``t`` is final: one of its free axes has children
-    of depth below ``t``, final a sweep earlier.  So the sweeps stop, at most
-    ``D + 1`` of them for the full depth ``D``, after the first one that
-    changes nothing.  That fixpoint is exact: each state is the min over its
-    free axes of 1 + max of its children, which is the true depth by
-    induction on the number of free variables.  Since values only fall, a
-    sweep changed nothing exactly when it left the table's sum unchanged.
+    on axes ``0 .. n-1`` in turn, in the depth table itself: its only
+    scratch is ``1 + max(v0, v1)``, a third of the table.  Values only fall
+    and each stays an upper bound on the true depth: ``n + 1`` exceeds every
+    depth, and an update takes the cost of a tree that queries that axis
+    first.  After sweep ``t`` every state of depth at most ``t`` is final:
+    one of its free axes has children of depth below ``t``, final a sweep
+    earlier.  So the sweeps stop, at most ``D + 1`` of them for the full
+    depth ``D``, after the first one that changes nothing.  That fixpoint is
+    exact: each state is the min over its free axes of 1 + max of its
+    children, which is the true depth by induction on the number of free
+    variables.  Since values only fall, a sweep changed nothing exactly when
+    it left the table's sum unchanged.
     """
     n = f.n
     if n > MAX_DCAP:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import re
 import sys
 from typing import Any, Callable, Optional
 
@@ -41,40 +42,43 @@ def _info(message: str) -> None:
     sys.stderr.write(message + "\n")
 
 
-def _int(text: str) -> int:
-    try:
-        return boolfn.parse_int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+def _clip(message: str, limit: int) -> str:
+    """``message`` with each run of more than ``limit`` non-space characters
+    cut to its head and tail around "...": no message echoes a long input whole.
+    """
+    keep = (limit - 3) // 2
+    return re.sub(rf"\S{{{limit + 1},}}", lambda run: f"{run[0][:keep]}...{run[0][-keep:]}", message)
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = boolfn.parse_int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
+def _argument(parse: Callable[[str], Any], what: str) -> Callable[[str], Any]:
+    """An argparse type: ``parse(text)``, or an error that ``text`` is not ``what``."""
+
+    def convert(text: str) -> Any:
+        try:
+            return parse(text)
+        except ValueError:
+            # argparse prints its usage lines first, so this echoes less than main
+            raise argparse.ArgumentTypeError(_clip(f"{text!r} is not {what}", 48)) from None
+
+    return convert
+
+
+def _nonnegative(text: str) -> int:
+    if (value := boolfn.parse_int(text)) < 0:
+        raise ValueError(text)
     return value
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [boolfn.parse_int(v) for v in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of integers") from None
+_int = _argument(boolfn.parse_int, "an integer")
+_nonnegative_int = _argument(_nonnegative, "a nonnegative integer")
+_int_list = _argument(lambda text: [boolfn.parse_int(v) for v in text.split(",")],
+                      "a comma-separated list of integers")
 
 
 def _named_algorithm(name: str) -> qsim.QueryAlgorithm:
     if name not in ("a1", "a2"):
         raise ValueError(f"unknown builtin algorithm {name!r}; builtins are a1, a2")
     return qsim.a1() if name == "a1" else qsim.a2()
-
-
-def _json_int(text: str) -> int:
-    if len(text) > 18:  # no valid field is this long; int() refuses over 4300 digits
-        raise ValueError(f"a JSON integer of {len(text)} characters; at most 18")
-    return int(text)
 
 
 def _load(kind: str, spec: str, builtin: Callable[[str], Any], decode: Callable[[Any], Any]) -> Any:
@@ -88,7 +92,7 @@ def _load(kind: str, spec: str, builtin: Callable[[str], Any], decode: Callable[
         builtin_error = exc
     try:
         with open(spec, "r", encoding="utf-8") as fh:
-            return decode(json.load(fh, parse_int=_json_int))
+            return decode(json.load(fh, parse_int=boolfn.parse_int))
     except FileNotFoundError:
         raise ValueError(f"cannot load {kind} {spec!r}: no such file, and {builtin_error}") from None
     # deep nesting raises RecursionError, in json.load or in a decoder's repr of a value
@@ -234,7 +238,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.handler(args)
     except ValueError as exc:
-        _info(str(exc))
+        # 120 keeps a usual file path whole, and a message with one cut echo under 200 characters
+        _info(_clip(str(exc), 120))
         return EXIT_USAGE
 
 

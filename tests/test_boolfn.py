@@ -346,7 +346,7 @@ def test_sweep_tables_match_round_kernel_random():
 
 
 def test_sweep_tables_match_round_kernel_small():
-    # n = 1 and 2: the row/column split leaves one axis, or none, to the transposed copy
+    # n = 1 and 2: every function, on cubes of 3 and 9 states
     for n in (1, 2):
         for code in range(1 << (1 << n)):
             f = BooleanFunction(n, [(code >> i) & 1 for i in range(1 << n)])
@@ -393,7 +393,8 @@ def test_depth_kernel_calls_do_not_share_state():
 
 
 def test_depth_kernel_peak_memory_per_state():
-    # the figure behind MAX_DCAP and README's 1 GB sentence
+    # the figure behind MAX_DCAP and README's cap sentence: two 3**n-byte
+    # tables and a third of a table of sweep scratch, about 2.38 bytes a state
     n = 12
     f = BooleanFunction(n, np.random.default_rng(12).integers(0, 2, 1 << n).astype(np.uint8))
     tracemalloc.start()
@@ -402,7 +403,7 @@ def test_depth_kernel_peak_memory_per_state():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / 3**n < 4.6
+    assert peak / 3**n < 2.6
 
 
 def test_depth_refuses_more_than_max_dcap(monkeypatch):

@@ -216,6 +216,8 @@ def test_construct_report_stdout_is_golden(capsys, family):
         "analyze tests/golden/table-declist10.json",
         "analyze tests/golden/table-cosym9.json",  # the degree bound misses it, restrictions prove D = n
         "analyze tests/golden/table-mux9.json",  # depth 5 < n: the depth sweep runs
+        # x1 ? parity(x8..x13) : AND(x2..x7), depth 7 in 3 sweeps of a 3**13 cube
+        "analyze tests/golden/table-sel13.json --dcap 13",
         "construct --family lemma3:3,1 --emit report",
         "construct --family f3k:15 --emit report",
         "construct --family lemma3:3,2 --emit report",
@@ -664,11 +666,20 @@ USAGE_ERRORS = [
     # an integer longer than any valid field is refused before int() reads it: past
     # 4300 digits int() refused with advice to call sys.set_int_max_str_digits(),
     # and below that the whole number was echoed in a message of about 4 KB
-    usage("analyze-5000-digit-n", ANALYZE_FILE, "a JSON integer of 5000 characters; at most 18",
+    usage("analyze-5000-digit-n", ANALYZE_FILE, "an integer of 5000 characters; at most 18",
           '{"n": ' + "9" * 5000 + ', "table_hex": "00"}'),
     usage("simulate-4000-digit-dim", "simulate --alg FILE --input 0",
-          "a JSON integer of 4000 characters; at most 18",
+          "an integer of 4000 characters; at most 18",
           '{"dim": ' + "9" * 4000 + ', "n": 1, "layers": [], "outputs": [0]}'),
+    # a long echo keeps its head and tail: the whole of it was 5 KB of stderr
+    usage("analyze-table1-5000-digit-index", ["analyze", "builtin:table1:" + "1" * 5000],
+          f"unknown builtin function 'table1:{'1' * 50}...{'1' * 56}'; {BUILTINS}"),
+    usage("verify-lemma2-5000-digit-parameter", ["verify", "--suite", "lemma2:" + "1" * 5000],
+          f"suite lemma2:{'1' * 51}...{'1' * 57}: expected lemma2:K with integer parameters"),
+    usage("simulate-5000-digit-input", ["simulate", "--alg", "builtin:a1", "--input", "2" * 5000],
+          f"invalid bit string '{'2' * 57}...{'2' * 57}'"),
+    usage("verify-count-5000-digits", ["verify", "--suite", "a1", "--count", "1" * 5000],
+          f"argument --count: '{'1' * 21}...{'1' * 21}' is not an integer"),
 ]
 
 
@@ -677,6 +688,16 @@ def test_usage_error(tmp_path, capsys, argv, message, payload, code):
     err = usage_error(tmp_path, capsys, argv, message, payload, code)
     # no message echoes a long input; argparse's own errors add its usage lines
     assert len(err.replace(str(tmp_path), "")) < 200 or "usage:" in err
+
+
+def test_fit_collapser_refuses_4300_digit_values(tmp_path, capsys):
+    # ten such values fitted, then failed in to_json_dict past int's 4300-digit
+    # limit, with advice to call sys.set_int_max_str_digits()
+    rng = random.Random(4300)
+    values = ",".join(str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=4299)) for _ in range(10))
+    err = usage_error(tmp_path, capsys, ["fit-collapser", "--values", values],
+                      "is not a comma-separated list of integers")
+    assert "set_int_max_str_digits" not in err
 
 
 def test_simulate_refuses_over_cap_dim_before_parsing_a_layer(tmp_path, capsys, monkeypatch):
