@@ -43,11 +43,15 @@ def _info(message: str) -> None:
 
 
 def _clip(message: str, limit: int) -> str:
-    """``message`` with each run of more than ``limit`` non-space characters
-    cut to its head and tail around "...": no message echoes a long input whole.
-    """
-    keep = (limit - 3) // 2
-    return re.sub(rf"\S{{{limit + 1},}}", lambda run: f"{run[0][:keep]}...{run[0][-keep:]}", message)
+    """``message`` with each run of more than ``limit`` non-space characters, and each
+    quoted span that long with a space in it (kept a quarter as long: it may be echoed
+    twice), cut to its head and tail around "...": no message echoes a long input whole."""
+    def cut(run: re.Match) -> str:
+        keep = (limit - 3) // (8 if run[1] else 2)
+        return f"{run[0][:keep]}...{run[0][-keep:]}"
+
+    # a quoted span: from a quote to the next of the same kind, as repr() writes a str
+    return re.sub(rf"(['\"])(?=(?:(?!\1).)*\s)(?:(?!\1).){{{limit - 1},}}\1|\S{{{limit + 1},}}", cut, message)
 
 
 def _argument(parse: Callable[[str], Any], what: str) -> Callable[[str], Any]:

@@ -7,11 +7,12 @@ That covers all matrix entries the builtin algorithms need (0, +-1, +-1/2,
 query multiplies amplitude i by -1 exactly when the variable assigned to that
 amplitude is 1.
 
-``simulate`` is the only code that applies layers; ``is_exact`` and
-``relabel_outputs`` read ``final_states``, its result on every input.  Float
-mode is the same exact simulation of an algorithm whose decimal entries
-were read as the rationals they denote and checked for unitarity to
-``FLOAT_TOLERANCE``; only its printing rounds.
+A ``UnitaryMatrix`` is checked for unitarity once, when built, so every
+layer of an algorithm is unitary.  ``simulate`` is the only code that
+applies layers; ``is_exact`` and ``relabel_outputs`` read ``final_states``,
+its result on every input.  Float mode is the same exact simulation of an
+algorithm whose decimal entries were read as the rationals they denote and
+checked for unitarity to ``FLOAT_TOLERANCE``; only its printing rounds.
 """
 
 from __future__ import annotations
@@ -167,15 +168,18 @@ def parse_scalar(text: str) -> ExactScalar:
 
 
 class UnitaryMatrix:
-    """Square matrix of exact scalars; unitarity is checked, not assumed."""
+    """Square matrix of exact scalars, checked for unitarity once, when built."""
 
     __slots__ = ("dim", "rows", "_nonzero")
 
-    def __init__(self, rows: Sequence[Sequence[ExactScalar]]) -> None:
+    def __init__(self, rows: Sequence[Sequence[ExactScalar]], tolerance: float = 0) -> None:
         self.dim = len(rows)
         if any(len(r) != self.dim for r in rows):
             raise ValueError("matrix must be square")
         self.rows = tuple(tuple(r) for r in rows)
+        if not check_unitary(self.rows, tolerance):
+            raise ValueError(f"layer matrix is not unitary within {tolerance}" if tolerance
+                             else "layer matrix is not exactly unitary")
         # (column, entry) for the nonzero entries of each row: apply() skips
         # the zero entries without testing them on every call.
         self._nonzero = tuple(
@@ -202,17 +206,18 @@ class UnitaryMatrix:
         return f"UnitaryMatrix(dim={self.dim})"
 
 
-def check_unitary(m: UnitaryMatrix, tolerance: float = 0) -> bool:
-    """True iff M^T M is the identity (all builtin matrices are real).
+def check_unitary(rows: Sequence[Sequence[ExactScalar]], tolerance: float = 0) -> bool:
+    """True iff M^T M is the identity, M the square matrix ``rows`` (all builtins are real).
 
     With tolerance 0 the product must equal the identity exactly; with a
     positive tolerance every entry of M^T M - I must be within it.
     """
-    for i in range(m.dim):
-        for j in range(m.dim):
+    dim = len(rows)
+    for i in range(dim):
+        for j in range(dim):
             acc = ZERO
-            for k in range(m.dim):
-                acc = acc + m.rows[k][i] * m.rows[k][j]
+            for k in range(dim):
+                acc = acc + rows[k][i] * rows[k][j]
             want = ONE if i == j else ZERO
             if acc == want:
                 continue
@@ -248,21 +253,13 @@ Layer = Union[UnitaryMatrix, QueryLayer]
 class QueryAlgorithm:
     """Alternating unitary and sign-query layers with output bit labels."""
 
-    __slots__ = ("dim", "n", "layers", "outputs", "tolerance")
+    __slots__ = ("dim", "n", "layers", "outputs")
 
-    def __init__(
-        self,
-        dim: int,
-        n: int,
-        layers: Sequence[Layer],
-        outputs: Sequence[int],
-        tolerance: float = 0,
-    ) -> None:
+    def __init__(self, dim: int, n: int, layers: Sequence[Layer], outputs: Sequence[int]) -> None:
         self.dim = dim
         self.n = n
         self.layers = tuple(layers)
         self.outputs = tuple(int(o) for o in outputs)
-        self.tolerance = tolerance
         if dim < 1:
             raise ValueError(f"dim must be at least 1, got {dim}")
         if dim > MAX_DIM:
@@ -277,12 +274,6 @@ class QueryAlgorithm:
             if isinstance(layer, UnitaryMatrix):
                 if layer.dim != dim:
                     raise ValueError("unitary layer dimension mismatch")
-                if not check_unitary(layer, tolerance):
-                    raise ValueError(
-                        f"layer matrix is not unitary within {tolerance}"
-                        if tolerance
-                        else "layer matrix is not exactly unitary"
-                    )
             elif isinstance(layer, QueryLayer):
                 if layer.dim != dim:
                     raise ValueError("query layer dimension mismatch")
@@ -298,7 +289,7 @@ class QueryAlgorithm:
         return sum(1 for layer in self.layers if isinstance(layer, QueryLayer))
 
     def with_outputs(self, outputs: Sequence[int]) -> "QueryAlgorithm":
-        return QueryAlgorithm(self.dim, self.n, self.layers, outputs, self.tolerance)
+        return QueryAlgorithm(self.dim, self.n, self.layers, outputs)
 
     def __repr__(self) -> str:
         return (
@@ -413,6 +404,15 @@ _HH = UnitaryMatrix(
         [HALF, -HALF, -HALF, HALF],
     ]
 )
+# a1's middle unitary: a Hadamard on amplitudes 1 and 2
+_U1 = UnitaryMatrix(
+    [
+        [ONE, ZERO, ZERO, ZERO],
+        [ZERO, INV_SQRT2, INV_SQRT2, ZERO],
+        [ZERO, INV_SQRT2, -INV_SQRT2, ZERO],
+        [ZERO, ZERO, ZERO, ONE],
+    ]
+)
 
 
 def a1() -> QueryAlgorithm:
@@ -421,18 +421,9 @@ def a1() -> QueryAlgorithm:
     Layer sequence H x H, Q(x1,x2,x1,x2), U1, Q(x3,x1,x2,x3), U1, H x H; outputs
     label index 3 with 1 (inputs 001 and 110 land there) and the rest with 0.
     """
-    r = INV_SQRT2
-    u1 = UnitaryMatrix(
-        [
-            [ONE, ZERO, ZERO, ZERO],
-            [ZERO, r, r, ZERO],
-            [ZERO, r, -r, ZERO],
-            [ZERO, ZERO, ZERO, ONE],
-        ]
-    )
     q1 = QueryLayer(4, (0, 1, 0, 1))
     q2 = QueryLayer(4, (2, 0, 1, 2))
-    return QueryAlgorithm(4, 3, (_HH, q1, u1, q2, u1, _HH), (0, 0, 0, 1))
+    return QueryAlgorithm(4, 3, (_HH, q1, _U1, q2, _U1, _HH), (0, 0, 0, 1))
 
 
 def a2() -> QueryAlgorithm:
@@ -459,8 +450,8 @@ def algorithm_from_json_dict(data: dict, tolerance: float = 0) -> QueryAlgorithm
     rows, each a list of strings) or a ``query`` (a list of integers or
     null); a fault names its layer 1-based.  Unitary entries must be
     strings (``parse_scalar``): a JSON number such as ``0.7071`` is
-    rejected.  ``tolerance`` is the unitarity tolerance; with 0 every
-    matrix must be exactly unitary.
+    rejected.  ``tolerance`` is each ``UnitaryMatrix``'s unitarity
+    tolerance; with 0 every matrix must be exactly unitary.
     """
     try:
         dim, n = data["dim"], data["n"]
@@ -498,7 +489,12 @@ def algorithm_from_json_dict(data: dict, tolerance: float = 0) -> QueryAlgorithm
                 )
             if not all(isinstance(v, str) for row in rows for v in row):
                 raise ValueError('exact scalars must be JSON strings such as "1/2 r2"')
-            layers.append(UnitaryMatrix([[parse_scalar(v) for v in row] for row in rows]))
+            # the shape is checked before any of the layer's entries is parsed
+            if any(len(row) != len(rows) for row in rows):
+                raise ValueError("matrix must be square")
+            if len(rows) != dim:
+                raise ValueError("unitary layer dimension mismatch")
+            layers.append(UnitaryMatrix([[parse_scalar(v) for v in row] for row in rows], tolerance))
         else:
             query = entry["query"]
             if type(query) is not list or any(v is not None and type(v) is not int for v in query):
@@ -508,5 +504,5 @@ def algorithm_from_json_dict(data: dict, tolerance: float = 0) -> QueryAlgorithm
                 )
             assignment = tuple(None if v is None else v - 1 for v in query)
             layers.append(QueryLayer(dim, assignment))
-    return QueryAlgorithm(dim, n, layers, outputs, tolerance)
+    return QueryAlgorithm(dim, n, layers, outputs)
 

@@ -60,7 +60,7 @@ def suite_a1() -> dict:
             "unitary_layers_exact",
             True,
             all(
-                qsim.check_unitary(layer)
+                qsim.check_unitary(layer.rows)
                 for layer in alg.layers
                 if isinstance(layer, qsim.UnitaryMatrix)
             ),

@@ -680,6 +680,24 @@ USAGE_ERRORS = [
           f"invalid bit string '{'2' * 57}...{'2' * 57}'"),
     usage("verify-count-5000-digits", ["verify", "--suite", "a1", "--count", "1" * 5000],
           f"argument --count: '{'1' * 21}...{'1' * 21}' is not an integer"),
+    # a quoted echo with spaces in it is cut too: each of these was 4-8 KB of stderr
+    usage("simulate-spaced-input", ["simulate", "--alg", "builtin:a1", "--input", " ".join("2" * 2500)],
+          f"invalid bit string '{' '.join('2' * 7)}...{' '.join('2' * 7)}'"),
+    # a text holding ' is quoted with "
+    usage("simulate-spaced-input-with-quote",
+          ["simulate", "--alg", "builtin:a1", "--input", "' " + " ".join("2" * 2500)],
+          f"invalid bit string \"' {' '.join('2' * 6)}...{' '.join('2' * 7)}\""),
+    usage("analyze-spaced-spec", ["analyze", "a " * 2000],
+          f"cannot load function '{' '.join('a' * 7)}...{' a' * 6} '"),
+    usage("verify-spaced-suite", ["verify", "--suite", "x " * 2000],
+          f"unknown suite: '{' '.join('x' * 7)}...{' x' * 6} '"),
+    usage("construct-spaced-family", ["construct", "--family", "x " * 2000],
+          f"unknown family '{' '.join('x' * 7)}...{' x' * 6} '"),
+    # unitarity is checked as each layer is read, the query variables once all are read
+    usage("simulate-bad-query-then-non-unitary", "simulate --alg FILE --input 0",
+          "layer matrix is not exactly unitary",
+          {"dim": 2, "n": 1, "layers": [{"query": [3, None]}, {"unitary": [["1", "1"], ["1", "1"]]}],
+           "outputs": [0, 1]}),
 ]
 
 
@@ -709,6 +727,21 @@ def test_simulate_refuses_over_cap_dim_before_parsing_a_layer(tmp_path, capsys, 
     identity = [["1" if i == j else "0" for j in range(400)] for i in range(400)]
     usage_error(tmp_path, capsys, "simulate --alg FILE --input 0", "dim must be at most 64, got 400",
                 {"dim": 400, "n": 1, "layers": [{"unitary": identity}] * 2, "outputs": [0] * 400})
+
+
+@pytest.mark.parametrize("dim, rows, message", [
+    # a 300x300 identity in a dim-4 file: its unitarity check alone is 27M products
+    (4, [["1" if i == j else "0" for j in range(300)] for i in range(300)],
+     "unitary layer dimension mismatch"),
+    (2, [["1", "0"], ["1"]], "matrix must be square"),
+])
+def test_simulate_refuses_misshapen_layer_before_parsing_it(tmp_path, capsys, monkeypatch, dim, rows, message):
+    def no_parse(text):
+        raise AssertionError("a layer entry was parsed")
+
+    monkeypatch.setattr(qsim, "parse_scalar", no_parse)
+    usage_error(tmp_path, capsys, "simulate --alg FILE --input 0", message,
+                {"dim": dim, "n": 1, "layers": [{"unitary": rows}], "outputs": [0] * dim})
 
 
 # ---------------------------------------------------------------------------

@@ -162,24 +162,42 @@ def _u1():
 
 
 def test_check_unitary_fixtures():
-    assert check_unitary(_u0())
-    assert check_unitary(_u1())
-    assert not check_unitary(UnitaryMatrix([[ONE, ONE], [ONE, ONE]]))
+    # each is checked when built, and the builtins' module-level matrices are these
+    assert _u0() == qsim._HH and _u1() == qsim._U1
+    assert check_unitary(_u0().rows) and check_unitary(_u1().rows)
+    assert not check_unitary([[ONE, ONE], [ONE, ONE]])
+    with pytest.raises(ValueError, match="^layer matrix is not exactly unitary$"):
+        UnitaryMatrix([[ONE, ONE], [ONE, ONE]])
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        UnitaryMatrix([[ONE, ZERO], [ZERO]])
 
 
 def test_check_unitary_tolerance():
     r = parse_scalar("0.7071067811865476")
-    decimal = UnitaryMatrix([[r, r], [r, -r]])
-    assert not check_unitary(decimal)
-    assert check_unitary(decimal, 1e-9)
-    assert not check_unitary(UnitaryMatrix([[ONE, ONE], [ONE, ONE]]), 1e-9)
-    assert not check_unitary(UnitaryMatrix([[parse_scalar("1e400"), ZERO], [ZERO, ONE]]), 1e-9)
+    with pytest.raises(ValueError, match="^layer matrix is not exactly unitary$"):
+        UnitaryMatrix([[r, r], [r, -r]])
+    assert UnitaryMatrix([[r, r], [r, -r]], 1e-9).rows == ((r, r), (r, -r))
+    # the 1e400 entry's square overflows a float
+    for rows in ([[ONE, ONE], [ONE, ONE]], [[parse_scalar("1e400"), ZERO], [ZERO, ONE]]):
+        with pytest.raises(ValueError, match="^layer matrix is not unitary within 1e-09$"):
+            UnitaryMatrix(rows, 1e-9)
 
 
 def test_algorithm_rejects_non_unitary_layer():
-    bad = UnitaryMatrix([[ONE, ONE], [ONE, ONE]])
-    with pytest.raises(ValueError):
-        QueryAlgorithm(2, 1, (bad,), (0, 1))
+    # the layer is refused when built, before an algorithm can hold it
+    with pytest.raises(ValueError, match="not exactly unitary"):
+        QueryAlgorithm(2, 1, (UnitaryMatrix([[ONE, ONE], [ONE, ONE]]),), (0, 1))
+
+
+def test_builtins_and_relabeling_check_no_matrix(monkeypatch):
+    # each UnitaryMatrix is checked once, when built: building an algorithm
+    # from checked matrices, or relabeling its outputs, re-checks none
+    calls = []
+    monkeypatch.setattr(qsim, "check_unitary", lambda *args: calls.append(args) or True)
+    alg = a1()
+    a2()
+    relabel_outputs(alg, named_function("F3"))
+    assert calls == []
 
 
 def test_algorithm_validation():
