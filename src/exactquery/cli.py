@@ -242,8 +242,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.handler(args)
     except ValueError as exc:
-        # 120 keeps a usual file path whole, and a message with one cut echo under 200 characters
-        _info(_clip(str(exc), 120))
+        # 120 keeps a usual file path whole, and a message with one cut echo under 200
+        # characters; one that echoes twice, or says more around its echo, cuts to 48
+        message = _clip(str(exc), 120)
+        _info(message if len(message) < 200 else _clip(str(exc), 48))
         return EXIT_USAGE
 
 

@@ -33,7 +33,9 @@ INTERPOLATION_CAP = 24
 # 1 MB of cache each.  Stage 1 has three steps: the 4 lowest bits' passes
 # come from a lookup table of every 16-entry transform (int8, |value| <= 8),
 # the next 3 bits' passes run in int8 (|value| <= 64 after 7 passes) and the
-# rest in int16, which holds every value after at most 15 passes.  The lookup
+# rest in int16.  After 14 passes |value| <= 2^13, so the top variable's
+# pass that merges the second half of the rows into the first stays within
+# +-2^14; after 15 it could reach +2^15, which int16 cannot hold.  The lookup
 # gathers a block's rows with index bits 4-6 outermost, so their passes run
 # on runs of 1/8 of the block rather than of 16-64 entries, and the widening
 # copy to int16 puts the block back in index order.  numpy 2.4.6 copies
@@ -42,7 +44,7 @@ INTERPOLATION_CAP = 24
 # default): on 2^19 int16 entries, runs of 1024-2048 cost 0.29-0.37 ns a
 # subtraction and runs from 4096 on 0.09-0.13 ns.  So every worker of
 # _each runs its passes with the buffer lowered to _BUFSIZE.
-_LOW_BITS = 15
+_LOW_BITS = 14
 _BLOCK = 1 << 19
 _SLAB = 1 << 18
 _BUFSIZE = 1 << 11
@@ -106,11 +108,12 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _each(step: Callable[[int], Any], count: int, workers: int) -> list:
+def _each(step: Callable[[int], Any], count: int, workers: int, passes: bool = True) -> list:
     """``[step(0), ..., step(count - 1)]``, each item run once by one of
     ``workers`` threads: the calling thread and ``workers - 1`` threads
     started here, every one of them joined before this returns or raises.
-    Each runs its items with numpy's ufunc buffer at ``_BUFSIZE`` elements.
+    With ``passes``, each runs its items with numpy's ufunc buffer at
+    ``_BUFSIZE`` elements; steps that run no pass leave it as it is.
 
     Items are handed out in index order, and none after an item has raised;
     the exception of the lowest-indexed failing item is then re-raised.
@@ -123,7 +126,7 @@ def _each(step: Callable[[int], Any], count: int, workers: int) -> list:
     lock = threading.Lock()
 
     def work() -> None:
-        old = np.setbufsize(_BUFSIZE)
+        old = np.setbufsize(_BUFSIZE) if passes else None
         try:
             while True:
                 with lock:
@@ -136,7 +139,8 @@ def _each(step: Callable[[int], Any], count: int, workers: int) -> list:
                     with lock:
                         errors[i] = exc
         finally:
-            np.setbufsize(old)
+            if passes:
+                np.setbufsize(old)
 
     threads: list[threading.Thread] = []
     try:
@@ -155,8 +159,17 @@ def _each(step: Callable[[int], Any], count: int, workers: int) -> list:
     return results
 
 
-def _low_passes(table: Union[np.ndarray, Callable[[int, int], np.ndarray]], n: Optional[int]) -> np.ndarray:
-    """``table_degree``'s stage 1 on its arguments, raising as it does: its int16 array."""
+def _workers(n: int) -> int:
+    """The threads that share the kernel's items for a table of 2^n entries."""
+    return _cpus() if n >= _THREADED_N else 1
+
+
+def _row_source(
+    table: Union[np.ndarray, Callable[[int, int], np.ndarray]], n: Optional[int]
+) -> tuple[Callable[[int, int], np.ndarray], int]:
+    """``table_degree``'s arguments as a row source of 2^n entries, n >= 4:
+    an array's n comes from its length, and a table of n < 4 is repeated to
+    16 entries (dummy high variables)."""
     if n is None:
         array = np.asarray(table)
         n, table = int(array.size).bit_length() - 1, lambda start, stop: array[start:stop]
@@ -165,26 +178,55 @@ def _low_passes(table: Union[np.ndarray, Callable[[int, int], np.ndarray]], n: O
     if n < 4:
         array = np.tile(table(0, 1 << n), 16 >> n)
         n, table = 4, lambda start, stop: array[start:stop]
-    low = min(n, _LOW_BITS)
-    mid = np.empty((1 << (n - low), 1 << low), dtype=np.int16)
-    block = min(_BLOCK, 1 << n)
+    return table, n
+
+
+_SCRATCH = threading.local()
+
+
+def _scratch(size: int) -> np.ndarray:
+    """The calling thread's int16 scratch block cut to ``size`` entries: one
+    array per thread, kept from call to call, whose contents never outlive
+    the block that wrote them.  One allocated per call (1 MB at n = 21)
+    took f3k:7's ``table_degree`` from 4.5 to 6.3 ms on a 2-vCPU host, as
+    glibc malloc then handed the heap back to the system and faulted it in
+    again on every call (1184 minor faults a call, against none)."""
+    seg = getattr(_SCRATCH, "seg", None)
+    if seg is None or seg.size < size:
+        seg = _SCRATCH.seg = np.empty(size, dtype=np.int16)
+    return seg[:size]
+
+
+def _low_passes(source: Callable[[int, int], np.ndarray], n: int, out: np.ndarray, merge: bool = False) -> None:
+    """``table_degree``'s stage 1, raising as it does: the low-bit passes of
+    the first ``out.size`` entries of a row source of 2^n entries into the
+    int16 array ``out`` of 2^L columns or, with ``merge``, of the next
+    ``out.size`` entries subtracted into it (``out`` = theirs - ``out``,
+    the pass of the variable that splits them).  A merged block runs its
+    passes in its thread's ``_scratch`` block.
+    """
+    low = out.shape[1].bit_length() - 1
+    block = min(_BLOCK, out.size)
+    first = out.size if merge else 0
     narrow = min(low, 7)
     lookup = _mobius16()
 
     def stage1(i: int) -> None:
         start = i * block
-        rows = table(start, start + block)
+        rows = source(first + start, first + start + block)
         if rows.max() > 1 or rows.min() < 0:
             raise ValueError("table entries must be 0 or 1")
         ids = np.packbits(rows).view(">u2").reshape(-1, 1 << (narrow - 4))
         seg8 = np.take(lookup, ids.T, axis=0)
         _subset_transform(seg8, narrow - 4, seg8[0].size)
-        seg = mid.reshape(-1)[start : start + block]
-        seg.reshape(ids.shape + (16,))[...] = seg8.transpose(1, 0, 2)
-        _subset_transform(seg, low - narrow, 1 << narrow)
+        seg = out.reshape(-1)[start : start + block]
+        dst = _scratch(block) if merge else seg
+        dst.reshape(ids.shape + (16,))[...] = seg8.transpose(1, 0, 2)
+        _subset_transform(dst, low - narrow, 1 << narrow)
+        if merge:
+            np.subtract(dst, seg, out=seg)
 
-    _each(stage1, (1 << n) // block, _cpus() if n >= _THREADED_N else 1)
-    return mid
+    _each(stage1, out.size // block, _workers(n), low > 4)
 
 
 def table_degree(
@@ -194,21 +236,28 @@ def table_degree(
 
     ``table`` is the array or, with ``n`` given, a row source: a function
     that returns the table's entries ``[start, stop)``.  Stage 1 asks it
-    for each aligned power-of-two range of one block exactly once, so a
-    source that builds each range (``ConstructedFunction.table``) never
-    holds the whole table.  From n = ``_THREADED_N`` on, the source is
-    called from several threads at once and the ranges come in order only
-    within one thread; below it, all in order from the calling thread.
+    for each aligned power-of-two range of one block exactly once, in
+    order within each half of the table, so a source that builds each
+    range (``ConstructedFunction.table``) never holds the whole table.
+    From n = ``_THREADED_N`` on, the source is called from several threads
+    at once and the ranges come in order only within one thread; below it,
+    all in order from the calling thread.
 
-    Two cache-sized stages, without any 2^n-entry int32 array.  Stage 1
-    (``_low_passes``) runs the L = min(n, 15) low-bit passes into one int16
-    array, index hi * 2^L + lo at row hi and column lo, on blocks of whole
-    rows as the comment on ``_LOW_BITS`` describes.  Stage 2 runs the
-    high-bit passes in int32 on one column slab at a time, keeping the
+    Two cache-sized stages on one int16 array of half the table, without
+    any 2^n-entry array.  Stage 1 (``_low_passes``) runs the L = min(n, 14)
+    low-bit passes, index hi * 2^L + lo at row hi and column lo, on blocks
+    of whole rows as the comment on ``_LOW_BITS`` describes.  Stage 2 runs
+    the high-bit passes in int32 on one column slab at a time, keeping the
     largest popcount(hi) + popcount(lo) over the slab's nonzero entries.
-    Both stages' passes run in ``_each``, with numpy's ufunc buffer at
-    ``_BUFSIZE`` elements.  The dummy high variables of a table with n < 4
-    leave the degree unchanged.
+    Above n = 14 the rows split on the top row bit, the table's first
+    variable.  Phase 0 runs stage 1 on the first half into the array and
+    stage 2 on it: the coefficients without the first variable.  Phase 1
+    runs stage 1 on the second half, each block subtracted into the
+    array's matching rows (that variable's pass, in int16), and stage 2
+    again, every popcount raised by 1: the coefficients with it.  The
+    degree is the larger result.  Both stages' passes run in ``_each``,
+    with numpy's ufunc buffer at ``_BUFSIZE`` elements.  The dummy high
+    variables of a table with n < 4 leave the degree unchanged.
 
     From n = ``_THREADED_N`` on, the blocks of stage 1 and then the slabs
     of stage 2 are shared among one thread per available CPU (``_each``),
@@ -219,23 +268,30 @@ def table_degree(
 
     Raises ValueError if an entry is not 0 or 1 (checked block by block, as
     packing would read any nonzero entry as 1); with several bad blocks,
-    the first one's.
+    the first one's, and phase 1 starts only after phase 0 has passed.
     """
-    mid = _low_passes(table, n)
-    high, width = mid.shape[0].bit_length() - 1, mid.shape[1]
+    source, n = _row_source(table, n)
+    low = min(n, _LOW_BITS)
+    top = int(n > low)  # 1 when the rows split into two halves
+    high, width = n - low - top, 1 << low
+    mid = np.empty((1 << high, width), dtype=np.int16)
     pc = _popcount16()
     cols = min(width, _SLAB >> high)
     # popcount(hi) + popcount(lo - c0) by slab entry, as c0 is a multiple of
-    # the power of two cols; 1 + that at the nonzero entries, 0 elsewhere
+    # the power of two cols; 1 + that (+ 1 in phase 1) at the nonzero
+    # entries, 0 elsewhere
     weight = pc[: 1 << high, None] + pc[None, :cols]
 
-    def stage2(i: int) -> int:
+    def stage2(i: int, phase: int) -> int:
         c0 = i * cols
         slab = _subset_transform(mid[:, c0 : c0 + cols].astype(np.int32), high, cols)
-        return int(((weight + (pc[c0] + 1)) * (slab != 0)).max()) - 1
+        return int(((weight + (pc[c0] + 1 + phase)) * (slab != 0)).max()) - 1
 
-    # an all-zero slab gives -1, and a constant table has degree 0
-    return max([0, *_each(stage2, width // cols, _cpus() if mid.size >= 1 << _THREADED_N else 1)])
+    degree = 0  # an all-zero slab gives -1, and a constant table has degree 0
+    for phase in range(top + 1):
+        _low_passes(source, n, mid, merge=bool(phase))
+        degree = max([degree, *_each(lambda i: stage2(i, phase), width // cols, _workers(n), high > 0)])
+    return degree
 
 
 def mobius_coefficients(table: np.ndarray) -> np.ndarray:
@@ -244,11 +300,15 @@ def mobius_coefficients(table: np.ndarray) -> np.ndarray:
     Every coefficient, and every intermediate value of the transform, is an
     alternating sum of 0/1 values over at most 2^n subsets, so its magnitude
     is at most 2^(n-1): int32 is exact for n <= 31, beyond ``boolfn.MAX_N``.
-    Runs ``table_degree``'s stage 1, raising as it does, then the high-bit
-    passes on the whole array: runs of 2^15 or more, which numpy does not buffer.
+    Runs ``table_degree``'s stage 1 on the whole table, raising as it does,
+    then the high-bit passes on the whole array: runs of 2^14 or more, which
+    numpy does not buffer.
     """
-    c = _low_passes(table, None).astype(np.int32)
-    _subset_transform(c, c.shape[0].bit_length() - 1, c.shape[1])
+    source, n = _row_source(table, None)
+    low = min(n, _LOW_BITS)
+    c = np.empty((1 << (n - low), 1 << low), dtype=np.int16)
+    _low_passes(source, n, c)
+    c = _subset_transform(c.astype(np.int32), n - low, 1 << low)
     return c.reshape(-1)[: np.size(table)]  # n < 4 got dummy high variables
 
 

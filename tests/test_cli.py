@@ -680,6 +680,12 @@ USAGE_ERRORS = [
           f"invalid bit string '{'2' * 57}...{'2' * 57}'"),
     usage("verify-count-5000-digits", ["verify", "--suite", "a1", "--count", "1" * 5000],
           f"argument --count: '{'1' * 21}...{'1' * 21}' is not an integer"),
+    # an echo in a message that echoes it twice, or says much more around it,
+    # is cut shorter: these wrote 292 and 252 characters
+    usage("analyze-2000-character-spec", ["analyze", "a" * 2000],
+          f"cannot load function '{'a' * 21}...{'a' * 20}': "),
+    usage("verify-2000-character-suite", ["verify", "--suite", "x" * 2000],
+          f"unknown suite: '{'x' * 21}...{'x' * 20}'; suites are a1, a2,"),
     # a quoted echo with spaces in it is cut too: each of these was 4-8 KB of stderr
     usage("simulate-spaced-input", ["simulate", "--alg", "builtin:a1", "--input", " ".join("2" * 2500)],
           f"invalid bit string '{' '.join('2' * 7)}...{' '.join('2' * 7)}'"),

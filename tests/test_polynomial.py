@@ -177,7 +177,7 @@ def kernel_tables(rng, n):
     for b in range(n):
         parity ^= ((idx >> b) & 1).astype(np.uint8)
     # a random function of a few variables: its top monomials sit at
-    # masks other than the full one, on both sides of the 15-bit split
+    # masks other than the full one, on both sides of the 14-bit split
     k = int(rng.integers(0, min(n, 5) + 1))
     junta = np.zeros(1 << n, dtype=np.int64)
     for var in rng.choice(n, size=k, replace=False):
@@ -194,8 +194,9 @@ def kernel_tables(rng, n):
 
 def shrink_blocks(monkeypatch, low_bits=5):
     """``low_bits`` low bits, blocks of 4 rows, slabs of 2^13 entries: small
-    tables then cross many blocks and slabs, and stage 2 runs from
-    n = low_bits + 1.  With 5 low bits every block goes from the lookup
+    tables then cross many blocks and slabs, the second half of the rows
+    is merged into the first from n = low_bits + 1 and stage 2 runs its
+    passes from n = low_bits + 2.  With 5 low bits every block goes from the lookup
     (bits 0-3) through one int8 pass (bit 4) into the int16 array; with 7
     it goes through the three int8 passes of bits 4-6, on the lookup's
     transposed order, as unshrunk.  Stage 1's int16 passes run only
@@ -218,8 +219,9 @@ def test_table_degree_matches_reference(n, shrunk, monkeypatch):
         assert_coefficients_match_reference(table, n)
     # from n = 7 on, parity's values after the lookup and the 3 int8 passes
     # reach that stage's bound of 64 = 2^6 exactly, so one more int8 pass
-    # would overflow; from n = 15 on, its values after the 15 int16 passes
-    # reach that stage's bound of 2^14 exactly
+    # would overflow; from n = 15 on, its values after the 14 low passes
+    # reach 2^13 and the merged top pass 2^14
+    # (test_table_degree_int16_headroom_of_the_merged_top_pass)
     if n >= 7:
         assert np.abs(reference_passes(tables["parity"], 7)).max() == 64
     assert polynomial.table_degree(tables["parity"]) == n
@@ -304,6 +306,18 @@ def test_transforms_restore_numpy_bufsize(monkeypatch):
     with pytest.raises(ValueError, match="0 or 1"):
         polynomial.table_degree(lambda start, stop: bad[start:stop], 9)
     assert np.getbufsize() == before
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_table_degree_sets_no_bufsize_without_a_pass(n, monkeypatch):
+    # up to n = 4 the lookup does every pass, and stage 2 runs none
+    table = kernel_tables(np.random.default_rng(600 + n), n)["random"]
+    calls = []
+    setbufsize = np.setbufsize
+    monkeypatch.setattr(np, "setbufsize", lambda size: calls.append(size) or setbufsize(size))
+    assert polynomial.table_degree(table) == reference_degree(table)
+    assert polynomial.table_degree(lambda start, stop: table[start:stop], n) == reference_degree(table)
+    assert bool(calls) == (n > 4)
 
 
 def test_table_degree_allocates_no_2n_int32_array():
@@ -471,20 +485,42 @@ def test_threaded_row_source_raising_in_a_worker(monkeypatch):
 
 def test_threaded_failure_is_the_lowest_failing_block(monkeypatch):
     n = 12
+    block = 1 << (n - 3)  # 8 blocks: 0-3 in the first half of the rows, 4-7 in the second
+    table = kernel_tables(np.random.default_rng(9), n)["random"]
+    thread_blocks(monkeypatch, n)
+    asked_6 = threading.Event()
+
+    def failing(start, stop):
+        # block 5 fails only after block 6, in the same half, has been asked
+        # for and has failed in another worker, so the later block's
+        # exception comes first
+        if start == 6 * block:
+            asked_6.set()
+            raise RuntimeError("block 6")
+        if start == 5 * block:
+            assert asked_6.wait(10)
+            raise RuntimeError("block 5")
+        return table[start:stop]
+
+    source, ranges, threads = two_threads(failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="^block 5$"):
+        polynomial.table_degree(source, n)
+    assert threading.active_count() == before
+    # no block is asked for twice, and every block up to the failing ones is
+    assert len(set(ranges)) == len(ranges)
+    assert {start // block for start, _ in ranges} >= {0, 1, 2, 3, 4, 5, 6}
+
+
+def test_threaded_failure_in_the_first_half_asks_for_no_second_half_range(monkeypatch):
+    n = 12
     block = 1 << (n - 3)
     table = kernel_tables(np.random.default_rng(9), n)["random"]
     thread_blocks(monkeypatch, n)
-    asked_4 = threading.Event()
 
     def failing(start, stop):
-        # block 3 fails only after block 4 has been asked for and has failed
-        # in another worker, so the later block's exception comes first
-        if start == 4 * block:
-            asked_4.set()
-            raise RuntimeError("block 4")
-        if start == 3 * block:
-            assert asked_4.wait(10)
-            raise RuntimeError("block 3")
+        if start // block in (3, 4):  # the last block of the first half, the first of the second
+            raise RuntimeError(f"block {start // block}")
         return table[start:stop]
 
     source, ranges, threads = two_threads(failing)
@@ -492,9 +528,23 @@ def test_threaded_failure_is_the_lowest_failing_block(monkeypatch):
     with pytest.raises(RuntimeError, match="^block 3$"):
         polynomial.table_degree(source, n)
     assert threading.active_count() == before
-    # no block is asked for twice, and every block up to the failing ones is
-    assert len(set(ranges)) == len(ranges)
-    assert {start // block for start, _ in ranges} >= {0, 1, 2, 3, 4}
+    assert len(threads) >= 2
+    assert sorted(start // block for start, _ in ranges) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("n", [15, 16, 17])
+def test_table_degree_int16_headroom_of_the_merged_top_pass(n):
+    # parity's values after the 14 low passes reach +-2^13, so the merged
+    # top variable's pass reaches +-2^14, int16's headroom less one bit; at
+    # n = 15 each half of the rows is a single row
+    tables = kernel_tables(np.random.default_rng(500 + n), n)
+    parity = tables["parity"]
+    assert np.abs(reference_passes(parity, 14)).max() == 1 << 13
+    merged = reference_passes(parity, 14).reshape(2, -1)
+    assert np.abs(merged[1] - merged[0]).max() == 1 << 14
+    for table in (parity, 1 - parity):
+        assert polynomial.table_degree(table) == n
+        assert polynomial.table_degree(lambda start, stop: table[start:stop], n) == n
 
 
 def test_random_functions_round_trip():
