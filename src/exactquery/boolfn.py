@@ -18,9 +18,10 @@ from . import polynomial
 
 MAX_N = 27
 DEFAULT_DCAP = 12
-# Largest n for exact depth: the 3**n-state tables and their sweeps peak at
-# about 2.34 bytes per state (tracemalloc, n = 14 and 15), 0.3 GB at n = 17
-# and 0.9 GB at n = 18, too near 1 GB.  Larger n is refused whatever the cap.
+# Largest n for exact depth: the 3**n-state table, with the flags' second
+# buffer or the sweeps' scratch, peaks at about 1.67 bytes per state
+# (tracemalloc, n = 14 to 16), 0.22 GB at n = 17 and 0.65 GB at n = 18.
+# Larger n is refused whatever the cap.
 MAX_DCAP = 17
 
 _BIT_CHARS = {"0": 0, "1": 1}
@@ -274,7 +275,7 @@ def sensitivity(f: BooleanFunction) -> int:
 
 
 def _axis_sweep(cube: np.ndarray, n: int) -> None:
-    """One depth sweep of ``_partial_assignment_tables``: on each axis of the
+    """One depth sweep of ``_depth_table``: on each axis of the
     flat ``(3,) * n`` cube in turn, ``v2 = min(v2, 1 + max(v0, v1))`` in
     place, ``v0``, ``v1`` and ``v2`` being the views with that axis's digit
     at 0, 1 and 2, every other digit aligned.
@@ -287,58 +288,59 @@ def _axis_sweep(cube: np.ndarray, n: int) -> None:
         del worst  # else it lives on beside the next axis's: two thirds of a cube
 
 
-def _partial_assignment_tables(f: BooleanFunction) -> tuple[np.ndarray, np.ndarray]:
+def _depth_table(f: BooleanFunction) -> np.ndarray:
     """Optimal query depth for every partial assignment of f's variables.
 
     A partial assignment is a ternary code: digit j (base-3, least significant
     first) is 0/1 when the variable occupying table-index bit j is fixed, and
-    2 when it is still free.  Returns ``(depth, flags)`` indexed by that code,
-    where ``flags`` has bit 0 / bit 1 set when value 0 / 1 occurs among the
-    completions.  Constant restrictions have depth 0; the full function's
-    depth sits at the all-free code ``3**n - 1``.
+    2 when it is still free.  Returns the int8 depth table indexed by that
+    code: constant restrictions have depth 0, and the full function's depth
+    sits at the all-free code ``3**n - 1``.
 
-    Both tables are the flattened C-order ``(3,) * n`` cube whose axis ``a``
-    is variable ``x_{a+1}``.  Flags are not swept: they are built from
-    ``f.table() + 1`` by expanding the variables last first, each step
-    turning one 2-wide axis into a 3-wide one whose digits 0 and 1 are
-    copied and whose digit 2 is their OR.  That grows the cube along its
-    outermost binary axis, so every copy moves runs of ``3**i`` entries.
-    The steps alternate between two ``3**n`` buffers; flags end in one, and
-    the other becomes the depth table.  Every depth pass goes through
-    ``_axis_sweep``.  Depth starts at 0 on constant states and at
-    ``n + 1`` elsewhere, and each sweep sets ``v2 = min(v2, 1 + max(v0, v1))``
-    on axes ``0 .. n-1`` in turn, in the depth table itself: its only
-    scratch is ``1 + max(v0, v1)``, a third of the table.  Values only fall
-    and each stays an upper bound on the true depth: ``n + 1`` exceeds every
-    depth, and an update takes the cost of a tree that queries that axis
-    first.  After sweep ``t`` every state of depth at most ``t`` is final:
-    one of its free axes has children of depth below ``t``, final a sweep
-    earlier.  So the sweeps stop, at most ``D + 1`` of them for the full
-    depth ``D``, after the first one that changes nothing.  That fixpoint is
-    exact: each state is the min over its free axes of 1 + max of its
-    children, which is the true depth by induction on the number of free
-    variables.  Since values only fall, a sweep changed nothing exactly when
-    it left the table's sum unchanged.
+    The table is the flattened C-order ``(3,) * n`` cube whose axis ``a`` is
+    variable ``x_{a+1}``.  It starts as flags, bit 0 / bit 1 set when value
+    0 / 1 occurs among a state's completions, built from ``f.table() + 1`` by
+    expanding the variables last first, each step turning one 2-wide axis
+    into a 3-wide one whose digits 0 and 1 are copied and whose digit 2 is
+    their OR.  That grows the cube along its outermost binary axis, so every
+    copy moves runs of ``3**i`` entries.  The steps alternate between two
+    buffers, of ``3**n`` entries for the last step and ``2 * 3**(n-1)`` for
+    the one before it; the smaller is freed once the flags are whole, and the
+    flags become depth in place: 0 on constant states (flags 1 or 2) and
+    ``n + 1`` elsewhere.  Every depth pass goes through ``_axis_sweep``,
+    which sets ``v2 = min(v2, 1 + max(v0, v1))`` on axes ``0 .. n-1`` in
+    turn, in the depth table itself: its only scratch is ``1 + max(v0, v1)``,
+    a third of the table.  Values only fall and each stays an upper bound on
+    the true depth: ``n + 1`` exceeds every depth, and an update takes the
+    cost of a tree that queries that axis first.  After sweep ``t`` every
+    state of depth at most ``t`` is final: one of its free axes has children
+    of depth below ``t``, final a sweep earlier.  So the sweeps stop, at most
+    ``D + 1`` of them for the full depth ``D``, after the first one that
+    changes nothing.  That fixpoint is exact: each state is the min over its
+    free axes of 1 + max of its children, which is the true depth by
+    induction on the number of free variables.  Since values only fall, a
+    sweep changed nothing exactly when it left the table's sum unchanged.
     """
     n = f.n
     if n > MAX_DCAP:
         raise ValueError(f"exact depth needs 3**n states; capped at n={MAX_DCAP}, got n={n}")
-    buffers = [np.empty(3**n, dtype=np.uint8) for _ in range(2)]
+    buffers = [np.empty(3**n, dtype=np.uint8), np.empty(2 * 3**n // 3, dtype=np.uint8)]
     flags = f.table() + 1
     for i in range(n):
-        grown = buffers[i % 2][: 3 ** (i + 1) << (n - 1 - i)].reshape(-1, 3, 3**i)
+        grown = buffers[(n - 1 - i) % 2][: 3 ** (i + 1) << (n - 1 - i)].reshape(-1, 3, 3**i)
         pair = flags.reshape(-1, 2, 3**i)
         grown[:, :2] = pair
         np.bitwise_or(pair[:, 0], pair[:, 1], out=grown[:, 2])
         flags = grown.reshape(-1)
-    depth = buffers[n % 2].view(np.int8)
+    del buffers, pair  # pair views the smaller buffer, which this frees
+    depth = flags.view(np.int8)
     np.equal(flags, 3, out=depth.view(np.bool_))
     depth *= n + 1
     last = None
     while (total := int(depth.sum(dtype=np.int64))) != last:
         last = total
         _axis_sweep(depth, n)
-    return depth, flags
+    return depth
 
 
 def _proves_full_depth(c: np.ndarray, budget: Optional[int] = None) -> bool:
@@ -435,7 +437,7 @@ def deterministic_complexity(f: BooleanFunction) -> int:
     often on complement-symmetric tables, whose odd-size Fourier
     coefficients vanish, restrictions of restrictions usually settle it.
     Only when the search fails is the 3**n-state table of
-    ``_partial_assignment_tables`` built: for functions of depth below n,
+    ``_depth_table`` built: for functions of depth below n,
     and for the few of depth n that the search gives up on.
     """
     n = f.n
@@ -443,8 +445,7 @@ def deterministic_complexity(f: BooleanFunction) -> int:
         raise ValueError(f"exact depth needs 3**n states; capped at n={MAX_DCAP}, got n={n}")
     if _proves_full_depth(polynomial.mobius_coefficients(f.table())):
         return n
-    depth, _ = _partial_assignment_tables(f)
-    return int(depth[3**n - 1])
+    return int(_depth_table(f)[-1])
 
 
 def complement_symmetric_functions(n: int) -> list[BooleanFunction]:

@@ -99,9 +99,10 @@ def _load(kind: str, spec: str, builtin: Callable[[str], Any], decode: Callable[
             return decode(json.load(fh, parse_int=boolfn.parse_int))
     except FileNotFoundError:
         raise ValueError(f"cannot load {kind} {spec!r}: no such file, and {builtin_error}") from None
-    # deep nesting raises RecursionError, in json.load or in a decoder's repr of a value
+    # deep nesting raises RecursionError, in json.load or in a decoder's repr of a value;
+    # an OSError's own text would echo the file name a second time
     except (OSError, ValueError, TypeError, RecursionError) as exc:
-        raise ValueError(f"cannot load {kind} {spec!r}: {exc}") from exc
+        raise ValueError(f"cannot load {kind} {spec!r}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:

@@ -49,29 +49,25 @@ class DecisionTree:
 def build_decision_tree(h: BooleanFunction) -> DecisionTree:
     """Materialize an optimal decision tree for h (depth equals exact D(h)).
 
-    Walks the bottom-up depth tables: at each partial assignment the first
+    Walks the bottom-up depth table: at each partial assignment the first
     variable achieving the minimax optimum is queried, smallest index first.
-    Refused above ``boolfn.MAX_DCAP`` variables, as the tables are.
+    A state of depth 0 is constant: its leaf is h at the input index of its
+    branch, where each variable fixed to 1 sets its bit.  Refused above
+    ``boolfn.MAX_DCAP`` variables, as the table is.
     """
-    depth, flags = boolfn._partial_assignment_tables(h)
+    depth = boolfn._depth_table(h)
     n = h.n
+    strides = [3 ** (n - 1 - var) for var in range(n)]  # place value of each variable's digit
 
-    def build(state: int) -> TreeNode:
-        if flags[state] != 3:
-            return Leaf(0 if flags[state] == 1 else 1)
-        best_var = -1
-        best = None
-        for var in range(n):
-            stride = 3 ** (n - 1 - var)  # place value of this variable's digit
-            if (state // stride) % 3 != 2:
-                continue
-            cand = 1 + max(int(depth[state - 2 * stride]), int(depth[state - stride]))
-            if best is None or cand < best:
-                best, best_var = cand, var
-        stride = 3 ** (n - 1 - best_var)
-        return Node(best_var, build(state - 2 * stride), build(state - stride))
+    def build(state: int, index: int) -> TreeNode:
+        if depth[state] == 0:
+            return Leaf(h.value_at(index))
+        free = [var for var in range(n) if state // strides[var] % 3 == 2]
+        var = min(free, key=lambda v: max(depth[state - 2 * strides[v]], depth[state - strides[v]]))
+        stride, bit = strides[var], 1 << (n - 1 - var)  # var's digit and its table-index bit
+        return Node(var, build(state - 2 * stride, index), build(state - stride, index | bit))
 
-    tree = DecisionTree(n, build(3**n - 1))
+    tree = DecisionTree(n, build(3**n - 1, 0))
     want = int(depth[3**n - 1])
     if tree.depth() != want:
         raise AssertionError(f"tree depth {tree.depth()} != optimal {want}")

@@ -265,12 +265,12 @@ def _restriction(table, n, code):
 
 def _check_every_state(f):
     table = list(f.table())
-    depth, flags = boolfn._partial_assignment_tables(f)
-    assert depth.shape == flags.shape == (3**f.n,)
+    depth = boolfn._depth_table(f)
+    assert depth.shape == (3**f.n,)
     d_full = naive_depth(table, f.n)
     for code in range(3**f.n):
         sub, k = _restriction(table, f.n, code)
-        assert flags[code] == (1 if 0 in sub else 0) | (2 if 1 in sub else 0), (table, code)
+        assert (depth[code] == 0) == (len(set(sub)) == 1), (table, code)  # 0 exactly on constants
         assert depth[code] == naive_depth(sub, k) <= d_full, (table, code)
 
 
@@ -306,13 +306,13 @@ def _round_tables(f):
             g[:, 2] |= s[:, 0] & s[:, 1]
         solved, grown = grown, solved
         depth += ~solved
-    return depth, flags
+    return depth
 
 
 def _assert_round_tables(f, got):
-    for have, want in zip(got, _round_tables(f)):
-        assert have.dtype == want.dtype and have.shape == want.shape, f
-        assert np.array_equal(have, want), f
+    want = _round_tables(f)
+    assert got.dtype == want.dtype and got.shape == want.shape, f
+    assert np.array_equal(got, want), f
 
 
 def _decision_list(order):
@@ -342,7 +342,7 @@ def test_sweep_tables_match_round_kernel_random():
     for n in range(6, 11):
         for density in (0.5, 0.05):
             f = BooleanFunction(n, (rng.random(1 << n) < density).astype(np.uint8))
-            _assert_round_tables(f, boolfn._partial_assignment_tables(f))
+            _assert_round_tables(f, boolfn._depth_table(f))
 
 
 def test_sweep_tables_match_round_kernel_small():
@@ -350,7 +350,7 @@ def test_sweep_tables_match_round_kernel_small():
     for n in (1, 2):
         for code in range(1 << (1 << n)):
             f = BooleanFunction(n, [(code >> i) & 1 for i in range(1 << n)])
-            _assert_round_tables(f, boolfn._partial_assignment_tables(f))
+            _assert_round_tables(f, boolfn._depth_table(f))
 
 
 @pytest.mark.parametrize(
@@ -378,32 +378,33 @@ def test_sweep_tables_match_round_kernel_structured(monkeypatch, f):
         sweep(cube, n)
 
     monkeypatch.setattr(boolfn, "_axis_sweep", counted)
-    got = boolfn._partial_assignment_tables(f)
+    got = boolfn._depth_table(f)
     _assert_round_tables(f, got)
     # flags are built, not swept: only depth sweeps, at most D + 1, the last changing nothing
-    assert 2 <= len(sweeps) <= int(got[0][-1]) + 1
+    assert 2 <= len(sweeps) <= int(got[-1]) + 1
 
 
 def test_depth_kernel_calls_do_not_share_state():
     f, g = _decision_list(range(8)), _decision_list(range(7, -1, -1))
     for h in (f, f, g, f):
-        got = boolfn._partial_assignment_tables(h)
+        got = boolfn._depth_table(h)
         _assert_round_tables(h, got)
-        del got  # free the tables, so the next call can be handed their memory
+        del got  # free the table, so the next call can be handed its memory
 
 
 def test_depth_kernel_peak_memory_per_state():
-    # the figure behind MAX_DCAP and README's cap sentence: two 3**n-byte
-    # tables and a third of a table of sweep scratch, about 2.38 bytes a state
+    # the figure behind MAX_DCAP and README's cap sentence: the 3**n-byte table,
+    # the 2 * 3**(n-1) bytes of the flags' other buffer (freed before the sweeps,
+    # which take a third of a table of scratch), about 1.72 bytes a state at n = 12
     n = 12
     f = BooleanFunction(n, np.random.default_rng(12).integers(0, 2, 1 << n).astype(np.uint8))
     tracemalloc.start()
     try:
-        boolfn._partial_assignment_tables(f)
+        boolfn._depth_table(f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / 3**n < 2.6
+    assert peak / 3**n < 1.8
 
 
 def test_depth_refuses_more_than_max_dcap(monkeypatch):
@@ -458,7 +459,7 @@ def _degree_bound_cases():
 def test_degree_bound_agrees_with_depth_sweep():
     closed = total = 0
     for f in _degree_bound_cases():
-        swept = int(boolfn._partial_assignment_tables(f)[0][-1])
+        swept = int(boolfn._depth_table(f)[-1])
         if _degree_bound_closes(f.table()):
             assert swept == f.n, f
             closed += 1
@@ -477,7 +478,7 @@ def test_restriction_search_is_exact_on_small_functions():
     for f in _degree_bound_cases():
         if f.n > 4:
             break
-        full = int(boolfn._partial_assignment_tables(f)[0][-1]) == f.n
+        full = int(boolfn._depth_table(f)[-1]) == f.n
         c = polynomial.mobius_coefficients(f.table())
         assert boolfn._proves_full_depth(c, budget=3**f.n) == full, f
         assert boolfn._proves_full_depth(c) == full, f
@@ -494,7 +495,7 @@ def test_restriction_search_proves_complement_symmetric_tables():
                 continue
             missed += 1
             proved += boolfn._proves_full_depth(polynomial.mobius_coefficients(f.table()))
-            assert int(boolfn._partial_assignment_tables(f)[0][-1]) == n
+            assert int(boolfn._depth_table(f)[-1]) == n
     assert (missed, proved) == (19, 17)
 
 
@@ -518,16 +519,16 @@ def _mux9():
 )
 def test_depth_sweep_runs_only_where_the_restriction_search_fails(monkeypatch, f, sweeps):
     calls = []
-    tables = boolfn._partial_assignment_tables
+    tables = boolfn._depth_table
 
     def counted(g):
         calls.append(g)
         return tables(g)
 
-    monkeypatch.setattr(boolfn, "_partial_assignment_tables", counted)
+    monkeypatch.setattr(boolfn, "_depth_table", counted)
     d = deterministic_complexity(f)
     assert len(calls) == sweeps
-    assert d == int(tables(f)[0][-1])
+    assert d == int(tables(f)[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from exactquery import boolfn, cli, lowdeg, qsim
+from exactquery import boolfn, cli, lowdeg, polynomial, qsim
 from exactquery.boolfn import BooleanFunction
 
 
@@ -177,6 +177,34 @@ def test_verify_output_is_deterministic(capsys):
     _, first = run(capsys, "verify", "--suite", "inequalities", "--count", "10")
     _, second = run(capsys, "verify", "--suite", "inequalities", "--count", "10")
     assert first == second
+
+
+def _flip_outputs(alg):
+    return qsim.QueryAlgorithm(alg.dim, alg.n, alg.layers, [1 - o for o in alg.outputs])
+
+
+@pytest.mark.parametrize(
+    "module, name, doctor, argv",
+    [
+        pytest.param(qsim, "a1", _flip_outputs, "verify --suite a1", id="a1-flipped-labels"),
+        pytest.param(boolfn, "deterministic_complexity", lambda d: d - 1, "verify --suite table2",
+                     id="depth-one-low-table2"),
+        pytest.param(polynomial, "table_degree", lambda d: d + 1, "verify --suite lemma2:3",
+                     id="degree-one-high-lemma2"),
+        pytest.param(polynomial, "table_degree", lambda d: d + 1, "construct --family f9 --emit report",
+                     id="degree-one-high-f9-report"),
+    ],
+)
+def test_doctored_library_fails_the_verdict(monkeypatch, capsys, module, name, doctor, argv):
+    # every verdict can fail: one library result doctored turns it to exit 1
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: doctor(real(*args, **kwargs)))
+    code = cli.main(argv.split())
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 1
+    assert doc.get("passed") is False or doc.get("status") == "refuted"
+    assert "FAIL" in captured.err or "refuted" in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +711,7 @@ USAGE_ERRORS = [
     # an echo in a message that echoes it twice, or says much more around it,
     # is cut shorter: these wrote 292 and 252 characters
     usage("analyze-2000-character-spec", ["analyze", "a" * 2000],
-          f"cannot load function '{'a' * 21}...{'a' * 20}': "),
+          f"cannot load function '{'a' * 57}...{'a' * 56}': File name too long"),
     usage("verify-2000-character-suite", ["verify", "--suite", "x" * 2000],
           f"unknown suite: '{'x' * 21}...{'x' * 20}'; suites are a1, a2,"),
     # a quoted echo with spaces in it is cut too: each of these was 4-8 KB of stderr
