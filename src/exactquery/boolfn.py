@@ -18,9 +18,9 @@ from . import polynomial
 
 MAX_N = 27
 DEFAULT_DCAP = 12
-# Largest n for exact depth: the 3**n-state table, with the flags' second
-# buffer or the sweeps' scratch, peaks at about 1.67 bytes per state
-# (tracemalloc, n = 14 to 16), 0.22 GB at n = 17 and 0.65 GB at n = 18.
+# Largest n for exact depth: the 3**n-state table and the sweeps' scratch
+# peak at about 1.34 bytes per state (tracemalloc, n = 15 and 16), 0.17 GB at
+# n = 17 and 0.52 GB at n = 18.
 # Larger n is refused whatever the cap.
 MAX_DCAP = 17
 
@@ -299,15 +299,15 @@ def _depth_table(f: BooleanFunction) -> np.ndarray:
 
     The table is the flattened C-order ``(3,) * n`` cube whose axis ``a`` is
     variable ``x_{a+1}``.  It starts as flags, bit 0 / bit 1 set when value
-    0 / 1 occurs among a state's completions, built from ``f.table() + 1`` by
-    expanding the variables last first, each step turning one 2-wide axis
-    into a 3-wide one whose digits 0 and 1 are copied and whose digit 2 is
-    their OR.  That grows the cube along its outermost binary axis, so every
-    copy moves runs of ``3**i`` entries.  The steps alternate between two
-    buffers, of ``3**n`` entries for the last step and ``2 * 3**(n-1)`` for
-    the one before it; the smaller is freed once the flags are whole, and the
-    flags become depth in place: 0 on constant states (flags 1 or 2) and
-    ``n + 1`` elsewhere.  Every depth pass goes through ``_axis_sweep``,
+    0 / 1 occurs among a state's completions: ``f.table() + 1`` goes into the
+    cube's all-0/1 corner, then for ``a`` from ``n - 1`` down to 0 digit 2 of
+    axis ``a`` gets the OR of digits 0 and 1, only where axes ``0 .. a-1`` are
+    still 0/1.  Pass ``a`` writes exactly the states whose free axes include
+    ``a`` and lie at or after it; their children's free axes all lie after
+    ``a``, written by an earlier pass or the corner.  So every state is
+    written once, from final values, and no unwritten entry is read.  The
+    flags then become depth in place: 0 on constant states (flags 1 or 2)
+    and ``n + 1`` elsewhere.  Every depth pass goes through ``_axis_sweep``,
     which sets ``v2 = min(v2, 1 + max(v0, v1))`` on axes ``0 .. n-1`` in
     turn, in the depth table itself: its only scratch is ``1 + max(v0, v1)``,
     a third of the table.  Values only fall and each stays an upper bound on
@@ -324,15 +324,12 @@ def _depth_table(f: BooleanFunction) -> np.ndarray:
     n = f.n
     if n > MAX_DCAP:
         raise ValueError(f"exact depth needs 3**n states; capped at n={MAX_DCAP}, got n={n}")
-    buffers = [np.empty(3**n, dtype=np.uint8), np.empty(2 * 3**n // 3, dtype=np.uint8)]
-    flags = f.table() + 1
-    for i in range(n):
-        grown = buffers[(n - 1 - i) % 2][: 3 ** (i + 1) << (n - 1 - i)].reshape(-1, 3, 3**i)
-        pair = flags.reshape(-1, 2, 3**i)
-        grown[:, :2] = pair
-        np.bitwise_or(pair[:, 0], pair[:, 1], out=grown[:, 2])
-        flags = grown.reshape(-1)
-    del buffers, pair  # pair views the smaller buffer, which this frees
+    flags = np.empty(3**n, dtype=np.uint8)
+    cube = flags.reshape((3,) * n)
+    np.add(f.table().reshape((2,) * n), 1, out=cube[(slice(0, 2),) * n])
+    for a in reversed(range(n)):
+        lead = (slice(0, 2),) * a  # the trailing ... keeps each operand a view at n = 1
+        np.bitwise_or(cube[lead + (0, ...)], cube[lead + (1, ...)], out=cube[lead + (2, ...)])
     depth = flags.view(np.int8)
     np.equal(flags, 3, out=depth.view(np.bool_))
     depth *= n + 1

@@ -392,10 +392,31 @@ def test_depth_kernel_calls_do_not_share_state():
         del got  # free the table, so the next call can be handed its memory
 
 
+def test_depth_kernel_reads_no_unwritten_state(monkeypatch):
+    # fresh pages read 0, so a kernel reading a state it never wrote could pass
+    # the tests above; here every buffer it allocates starts as 0xA5 bytes
+    empty = np.empty
+
+    def poisoned(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        out.view(np.uint8).fill(0xA5)
+        return out
+
+    monkeypatch.setattr(boolfn.np, "empty", poisoned)
+    for n in (1, 2, 3):
+        for code in range(1 << (1 << n)):
+            f = BooleanFunction(n, [(code >> i) & 1 for i in range(1 << n)])
+            _assert_round_tables(f, boolfn._depth_table(f))
+    rng = np.random.default_rng(33)
+    for n in range(4, 10):
+        f = BooleanFunction(n, rng.integers(0, 2, 1 << n).astype(np.uint8))
+        _assert_round_tables(f, boolfn._depth_table(f))
+
+
 def test_depth_kernel_peak_memory_per_state():
     # the figure behind MAX_DCAP and README's cap sentence: the 3**n-byte table,
-    # the 2 * 3**(n-1) bytes of the flags' other buffer (freed before the sweeps,
-    # which take a third of a table of scratch), about 1.72 bytes a state at n = 12
+    # the only buffer, and the sweeps' scratch of a third of a table, which sets
+    # the peak: about 1.38 bytes a state at n = 12
     n = 12
     f = BooleanFunction(n, np.random.default_rng(12).integers(0, 2, 1 << n).astype(np.uint8))
     tracemalloc.start()
@@ -404,7 +425,7 @@ def test_depth_kernel_peak_memory_per_state():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / 3**n < 1.8
+    assert peak / 3**n < 1.45
 
 
 def test_depth_refuses_more_than_max_dcap(monkeypatch):

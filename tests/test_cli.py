@@ -193,6 +193,31 @@ def _flip_outputs(alg):
                      id="degree-one-high-lemma2"),
         pytest.param(polynomial, "table_degree", lambda d: d + 1, "construct --family f9 --emit report",
                      id="degree-one-high-f9-report"),
+        pytest.param(qsim, "a2", _flip_outputs, "verify --suite a2", id="a2-flipped-labels"),
+        *(pytest.param(boolfn, "deterministic_complexity", lambda d: d - 1, argv, id=f"depth-one-low-{key}")
+          for key, argv in [
+              ("table1", "verify --suite table1"),
+              ("compose", "verify --suite compose"),
+              ("inequalities", "verify --suite inequalities --count 20"),
+          ]),
+        *(pytest.param(qsim, "relabel_outputs", _flip_outputs, f"verify --suite {suite}",
+                       id=f"relabel-flipped-labels-{suite}")
+          for suite in ("relabel3", "relabel4")),
+        *(pytest.param(polynomial, "table_degree", lambda d: d + 1, argv, id=f"degree-one-high-{key}")
+          for key, argv in [
+              ("example1", "verify --suite example1"),
+              ("lemma3", "verify --suite lemma3:3,1"),
+              ("f12-report", "construct --family f12 --emit report"),
+              ("f3k5-report", "construct --family f3k:5 --emit report"),
+              ("lemma3-composition-report", "construct --family lemma3:3,1 --mode composition --emit report"),
+          ]),
+        pytest.param(lowdeg, "connection_value", lambda v: v + 1, "verify --suite lemma1 --count 20",
+                     id="connection-one-high-lemma1"),
+        *(pytest.param(lowdeg, "witness_sensitivity", lambda s: s - 1, argv, id=f"witness-one-low-{key}")
+          for key, argv in [
+              ("lemma3", "verify --suite lemma3:3,1"),
+              ("lemma3-report", "construct --family lemma3:3,2 --emit report"),
+          ]),
     ],
 )
 def test_doctored_library_fails_the_verdict(monkeypatch, capsys, module, name, doctor, argv):
