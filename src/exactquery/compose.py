@@ -82,6 +82,14 @@ class HybridAlgorithm:
     inner: qsim.QueryAlgorithm
     inner_function: BooleanFunction
 
+    def __post_init__(self) -> None:
+        if self.tree.depth() != self.tree.n:
+            raise ValueError(
+                f"outer function must need all its variables (depth {self.tree.depth()} != n {self.tree.n})"
+            )
+        if not qsim.is_exact(self.inner, self.inner_function):
+            raise ValueError("inner algorithm is not exact for the inner function")
+
     @property
     def block_width(self) -> int:
         return self.inner_function.n
@@ -97,14 +105,7 @@ class HybridAlgorithm:
         f1: BooleanFunction,
         inner: qsim.QueryAlgorithm,
     ) -> "HybridAlgorithm":
-        tree = build_decision_tree(h)
-        if tree.depth() != h.n:
-            raise ValueError(
-                f"outer function must need all its variables (depth {tree.depth()} != n {h.n})"
-            )
-        if not qsim.is_exact(inner, f1):
-            raise ValueError("inner algorithm is not exact for the inner function")
-        return cls(tree, inner, f1)
+        return cls(build_decision_tree(h), inner, f1)
 
 
 def hybrid_evaluate(hy: HybridAlgorithm, x) -> tuple[int, int]:
@@ -117,8 +118,6 @@ def hybrid_evaluate(hy: HybridAlgorithm, x) -> tuple[int, int]:
         block = x.bits[node.var * m : (node.var + 1) * m]
         final = qsim.simulate(hy.inner, InputAssignment(m, block))
         value = final.deterministic_outcome()
-        if value is None:
-            raise AssertionError("inner run was not deterministic")
         queries += hy.inner.query_count
         node = node.if_one if value else node.if_zero
     return node.value, queries

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from exactquery import boolfn, cli, lowdeg, polynomial, qsim
+from exactquery import boolfn, cli, compose, lowdeg, polynomial, qsim
 from exactquery.boolfn import BooleanFunction
 
 
@@ -39,6 +39,19 @@ def test_import_starts_no_thread():
     out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True).stdout
     assert out == "1 False\n"
+
+
+def test_bare_import_loads_no_module_and_no_numpy():
+    # each name is imported from its module; the package itself binds none of them
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import sys, exactquery; "
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('exactquery.')))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +231,10 @@ def _flip_outputs(alg):
               ("lemma3", "verify --suite lemma3:3,1"),
               ("lemma3-report", "construct --family lemma3:3,2 --emit report"),
           ]),
+        pytest.param(compose, "hybrid_evaluate", lambda r: (1 - r[0], r[1]), "verify --suite compose",
+                     id="hybrid-value-flipped-compose"),
+        pytest.param(compose, "hybrid_evaluate", lambda r: (r[0], r[1] + 1), "verify --suite compose",
+                     id="hybrid-one-query-more-compose"),
     ],
 )
 def test_doctored_library_fails_the_verdict(monkeypatch, capsys, module, name, doctor, argv):

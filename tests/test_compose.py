@@ -119,6 +119,18 @@ def test_hybrid_rejects_inexact_inner():
         HybridAlgorithm.build(AND2, x1, qsim.a1())
 
 
+def test_hybrid_built_directly_checks_itself():
+    # the checks run when the hybrid is built, however it is built
+    f3 = named_function("F3")
+    a1 = qsim.a1()
+    flipped = a1.with_outputs([1 - o for o in a1.outputs])
+    with pytest.raises(ValueError, match="^inner algorithm is not exact for the inner function$"):
+        HybridAlgorithm(build_decision_tree(AND2), flipped, f3)
+    shallow = build_decision_tree(BooleanFunction(2, (0, 0, 1, 1)))  # depth 1 < 2
+    with pytest.raises(ValueError, match=r"^outer function must need all its variables \(depth 1 != n 2\)$"):
+        HybridAlgorithm(shallow, qsim.a1(), f3)
+
+
 # ---------------------------------------------------------------------------
 # Hybrid evaluation
 # ---------------------------------------------------------------------------

@@ -587,6 +587,12 @@ def test_fit_linear():
     assert p.degree == 1
 
 
+def test_fit_constant_zero_has_degree_zero():
+    p = fit_range_polynomial([0, 0, 0])
+    assert p.coefficients == (Fraction(0),)
+    assert p.degree == 0
+
+
 def test_fit_the_degree2_collapser():
     p = fit_range_polynomial((1, 0, 0, 1))
     assert p.coefficients == (Fraction(1), Fraction(-3, 2), Fraction(1, 2))

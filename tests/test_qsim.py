@@ -211,6 +211,15 @@ def test_algorithm_validation():
         QueryAlgorithm(2, 1, (), (0, 2))
 
 
+def test_algorithm_rejects_layers_only_a_library_caller_can_pass():
+    # the JSON decoder checks a layer's shape first, so files never reach these
+    identity2 = UnitaryMatrix([[ONE, ZERO], [ZERO, ONE]])
+    with pytest.raises(ValueError, match="^unitary layer dimension mismatch$"):
+        QueryAlgorithm(4, 1, [identity2], [0, 0, 0, 1])
+    with pytest.raises(TypeError, match="^unsupported layer 'H'$"):
+        QueryAlgorithm(2, 1, ["H"], [0, 1])
+
+
 # ---------------------------------------------------------------------------
 # Simulation
 # ---------------------------------------------------------------------------
