@@ -131,14 +131,8 @@ class BooleanFunction:
         arr = np.asarray(table)
         if arr.shape != (1 << n,):
             raise ValueError(f"table must have length {1 << n}")
-        # checked before the cast to uint8, which would wrap 257 to 1 and
-        # truncate 0.5 to 0; an unsigned table needs only its maximum, and a
-        # bool one no check
-        kind = arr.dtype.kind
-        if kind != "b" and not (arr.max() <= 1 if kind == "u" else ((arr == 0) | (arr == 1)).all()):
-            raise ValueError("table entries must be 0 or 1")
+        self._packed = np.packbits(polynomial.as_01(arr)).tobytes()
         self.n = n
-        self._packed = np.packbits(arr.astype(np.uint8, copy=False)).tobytes()
         self._table: Optional[np.ndarray] = None
 
     @classmethod

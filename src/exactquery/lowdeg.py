@@ -25,7 +25,6 @@ import numpy as np
 
 from . import polynomial
 from .boolfn import MAX_N, BooleanFunction, InputAssignment, coerce_input, compose_table
-from .polynomial import find_collapser
 
 # the degree-2 collapser for {0..3}: values 1,0,0,1
 _S_VALUES = (1, 0, 0, 1)
@@ -236,7 +235,7 @@ def build_f3k(k: int) -> ConstructedFunction:
     V_k of the range {0..k} is 1 exactly at 0 and k; the function is fully
     sensitive at the all-zero input.
     """
-    values, _ = find_collapser(k)  # k must be odd and in 3..15
+    values = polynomial.collapser_values(k)  # k must be odd and in 3..15
     n = 3 * k
     # the published k = 7 polynomial (polynomial.published_k7_collapser) is
     # never usable: its report's usable_for_construction is false

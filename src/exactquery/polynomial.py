@@ -37,13 +37,16 @@ INTERPOLATION_CAP = 24
 # pass that merges the second half of the rows into the first stays within
 # +-2^14; after 15 it could reach +2^15, which int16 cannot hold.  The lookup
 # gathers a block's rows with index bits 4-6 outermost, so their passes run
-# on runs of 1/8 of the block rather than of 16-64 entries, and the widening
-# copy to int16 puts the block back in index order.  numpy 2.4.6 copies
-# every operand of a pass through its ufunc buffer when the pass's
-# contiguous run is shorter than half the buffer size (8192 elements by
-# default): on 2^19 int16 entries, runs of 1024-2048 cost 0.29-0.37 ns a
-# subtraction and runs from 4096 on 0.09-0.13 ns.  So every worker of
-# _each runs its passes with the buffer lowered to _BUFSIZE.
+# on runs of 1/8 of the block rather than of 16-64 entries.  A copy that
+# moves each 16-entry row as one 16-byte element puts the block back in
+# index order, and one contiguous copy widens it to int16: 0.08 ms a 2^19
+# block, against 0.18 ms for one int8 to int16 copy of the transposed block
+# in runs of 16 entries.  numpy 2.4.6 copies every operand of a pass
+# through its ufunc buffer when the pass's contiguous run is shorter than
+# half the buffer size (8192 elements by default): on 2^19 int16 entries,
+# runs of 1024-2048 cost 0.29-0.37 ns a subtraction and runs from 4096 on
+# 0.09-0.13 ns.  So every worker of _each runs its passes with the buffer
+# lowered to _BUFSIZE.
 _LOW_BITS = 14
 _BLOCK = 1 << 19
 _SLAB = 1 << 18
@@ -98,6 +101,18 @@ def _subset_transform(a: np.ndarray, bits: int, run: int) -> np.ndarray:
         v = a.reshape(-1, 2, run << b)
         np.subtract(v[:, 1, :], v[:, 0, :], out=v[:, 1, :])
     return a
+
+
+def as_01(entries: np.ndarray) -> np.ndarray:
+    """``entries`` as integers or bools, which ``np.packbits`` takes, once
+    every entry is checked to be 0 or 1 (ValueError otherwise): an unsigned
+    array needs only its maximum, and a bool one no check.  Other kinds are
+    checked entry by entry, before any cast that would wrap 257 to 1 or
+    truncate 0.5 to 0, and only a float or other non-integer array is cast."""
+    kind = entries.dtype.kind
+    if kind != "b" and not (entries.max() <= 1 if kind == "u" else ((entries == 0) | (entries == 1)).all()):
+        raise ValueError("table entries must be 0 or 1")
+    return entries if kind in "biu" else entries.astype(np.uint8)
 
 
 def _cpus() -> int:
@@ -214,14 +229,14 @@ def _low_passes(source: Callable[[int, int], np.ndarray], n: int, out: np.ndarra
     def stage1(i: int) -> None:
         start = i * block
         rows = source(first + start, first + start + block)
-        if rows.max() > 1 or rows.min() < 0:
-            raise ValueError("table entries must be 0 or 1")
-        ids = np.packbits(rows).view(">u2").reshape(-1, 1 << (narrow - 4))
+        ids = np.packbits(as_01(rows)).view(">u2").reshape(-1, 1 << (narrow - 4))
         seg8 = np.take(lookup, ids.T, axis=0)
         _subset_transform(seg8, narrow - 4, seg8[0].size)
+        # back in index order, each 16-entry row moved as one 16-byte element
+        seg8 = np.ascontiguousarray(seg8.view(np.dtype((np.void, 16)))[..., 0].T).view(np.int8)
         seg = out.reshape(-1)[start : start + block]
         dst = _scratch(block) if merge else seg
-        dst.reshape(ids.shape + (16,))[...] = seg8.transpose(1, 0, 2)
+        dst[...] = seg8.reshape(-1)
         _subset_transform(dst, low - narrow, 1 << narrow)
         if merge:
             np.subtract(dst, seg, out=seg)
@@ -243,18 +258,21 @@ def table_degree(
     at once and the ranges come in order only within one thread; below it,
     all in order from the calling thread.
 
-    Two cache-sized stages on one int16 array of half the table, without
-    any 2^n-entry array.  Stage 1 (``_low_passes``) runs the L = min(n, 14)
-    low-bit passes, index hi * 2^L + lo at row hi and column lo, on blocks
-    of whole rows as the comment on ``_LOW_BITS`` describes.  Stage 2 runs
-    the high-bit passes in int32 on one column slab at a time, keeping the
+    Two cache-sized stages on one int16 array, without any 2^n-entry int32
+    array.  Stage 1 (``_low_passes``) runs the L = min(n, 14) low-bit
+    passes, index hi * 2^L + lo at row hi and column lo, on blocks of whole
+    rows as the comment on ``_LOW_BITS`` describes.  Stage 2 runs the
+    high-bit passes in int32 on one column slab at a time, keeping the
     largest popcount(hi) + popcount(lo) over the slab's nonzero entries.
-    Above n = 14 the rows split on the top row bit, the table's first
-    variable.  Phase 0 runs stage 1 on the first half into the array and
-    stage 2 on it: the coefficients without the first variable.  Phase 1
-    runs stage 1 on the second half, each block subtracted into the
-    array's matching rows (that variable's pass, in int16), and stage 2
-    again, every popcount raised by 1: the coefficients with it.  The
+    Where the table spans more than two stage-1 blocks (``_BLOCK``; from
+    n = 21 on), the rows split on the top row bit, the table's first
+    variable, and the array holds half the table; a smaller table's array
+    is no larger than two blocks (2 MB), and splitting it would only run
+    both stages twice.  Phase 0 runs stage 1 on the first half into the
+    array and stage 2 on it: the coefficients without the first variable.
+    Phase 1 runs stage 1 on the second half, each block subtracted into
+    the array's matching rows (that variable's pass, in int16), and stage
+    2 again, every popcount raised by 1: the coefficients with it.  The
     degree is the larger result.  Both stages' passes run in ``_each``,
     with numpy's ufunc buffer at ``_BUFSIZE`` elements.  The dummy high
     variables of a table with n < 4 leave the degree unchanged.
@@ -272,20 +290,21 @@ def table_degree(
     """
     source, n = _row_source(table, n)
     low = min(n, _LOW_BITS)
-    top = int(n > low)  # 1 when the rows split into two halves
+    top = int(1 << n > 2 * _BLOCK)  # 1 when the rows split into two halves
     high, width = n - low - top, 1 << low
     mid = np.empty((1 << high, width), dtype=np.int16)
     pc = _popcount16()
     cols = min(width, _SLAB >> high)
-    # popcount(hi) + popcount(lo - c0) by slab entry, as c0 is a multiple of
-    # the power of two cols; 1 + that (+ 1 in phase 1) at the nonzero
-    # entries, 0 elsewhere
-    weight = pc[: 1 << high, None] + pc[None, :cols]
+    # 1 + popcount(hi) + popcount(lo - c0) by slab entry, as c0 is a multiple
+    # of the power of two cols: at a slab's nonzero entries, 1 + the degree
+    # of their monomial less popcount(c0) (and less 1 in phase 1)
+    weight = pc[: 1 << high, None] + pc[None, :cols] + 1
 
     def stage2(i: int, phase: int) -> int:
         c0 = i * cols
         slab = _subset_transform(mid[:, c0 : c0 + cols].astype(np.int32), high, cols)
-        return int(((weight + (pc[c0] + 1 + phase)) * (slab != 0)).max()) - 1
+        peak = int((weight * (slab != 0)).max())
+        return peak - 1 + int(pc[c0]) + phase if peak else -1
 
     degree = 0  # an all-zero slab gives -1, and a constant table has degree 0
     for phase in range(top + 1):
@@ -394,24 +413,29 @@ def kth_finite_difference(values: Sequence[int], k: int) -> int:
     return sum((-1) ** (k - i) * comb(k, i) * int(values[i]) for i in range(k + 1))
 
 
-def find_collapser(k: int) -> tuple[tuple[int, ...], RangePolynomial]:
+def collapser_values(k: int) -> tuple[int, ...]:
     """Smallest 0/1 value vector on {0..k} whose fit has degree exactly k-1.
 
-    Searches vectors lexicographically with v0 = 1 and v0 != v1, keeping the
-    first whose k-th finite difference vanishes and whose fitted polynomial
-    has degree exactly k-1.  The v0 != v1 requirement is what later makes the
-    all-zero input fully sensitive in the group constructions.
+    Searches vectors lexicographically with v0 = 1 and v0 != v1, in
+    integers: the fit of k+1 values has degree < k exactly when their k-th
+    finite difference vanishes, and is then the fit of the first k values,
+    of degree k-1 exactly when their (k-1)-th difference does not.  The
+    v0 != v1 requirement is what later makes the all-zero input fully
+    sensitive in the group constructions.
     """
     if k % 2 == 0 or not 3 <= k <= 15:
         raise ValueError(f"k must be odd and in 3..15, got {k}")
     for packed in range(1 << (k - 1)):
         values = (1, 0) + tuple((packed >> (k - 2 - j)) & 1 for j in range(k - 1))
-        if kth_finite_difference(values, k) != 0:
-            continue
-        poly = fit_range_polynomial(values)
-        if poly.degree == k - 1:
-            return values, poly
+        if kth_finite_difference(values, k) == 0 and kth_finite_difference(values[:k], k - 1) != 0:
+            return values
     raise RuntimeError(f"no collapser found for k={k}")  # unreachable for odd k
+
+
+def find_collapser(k: int) -> tuple[tuple[int, ...], RangePolynomial]:
+    """``collapser_values(k)`` and their fitted polynomial."""
+    values = collapser_values(k)
+    return values, fit_range_polynomial(values)
 
 
 def published_k7_collapser() -> RangePolynomial:

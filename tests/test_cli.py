@@ -295,6 +295,7 @@ def test_construct_report_stdout_is_golden(capsys, family):
         "construct --family f12 --emit table",
         "construct --family f9 --emit poly",  # 127 terms
         "construct --family f12 --emit poly",  # 217 terms
+        "fit-collapser --k 7",  # the exact fit of the collapser that f3k:7 searches in integers
         "simulate --alg builtin:a1 --input 011 --trace",
         "simulate --alg builtin:a2 --input 0101 --trace --float",
         # rational and sqrt2 parts with different denominators: "2/3 - 1/6 r2";

@@ -284,6 +284,18 @@ def test_f3k_7_records_transcription_substitution():
     assert any("p(0) == p(1)" in note for note in cf.notes)
 
 
+def test_f3k_7_builds_and_certifies_without_a_collapser_fit(monkeypatch):
+    # the collapser is searched in integers; only fit-collapser fits it
+    def no_fit(values):
+        raise AssertionError("fit_range_polynomial called")
+
+    monkeypatch.setattr(polynomial, "fit_range_polynomial", no_fit)
+    cf = build_f3k(7)
+    assert cf.params["collapser_values"] == [1, 0, 0, 0, 0, 0, 0, 1]
+    report = certify(cf)
+    assert (report.degree_mode, report.computed_degree, report.status) == ("exact", 12, "confirmed")
+
+
 def test_f45_composition_certification():
     cf = build_f3k(15)
     assert cf.n == 45

@@ -6,7 +6,6 @@ import threading
 import time
 import tracemalloc
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 import pytest
@@ -194,13 +193,13 @@ def kernel_tables(rng, n):
 
 def shrink_blocks(monkeypatch, low_bits=5):
     """``low_bits`` low bits, blocks of 4 rows, slabs of 2^13 entries: small
-    tables then cross many blocks and slabs, the second half of the rows
-    is merged into the first from n = low_bits + 1 and stage 2 runs its
-    passes from n = low_bits + 2.  With 5 low bits every block goes from the lookup
-    (bits 0-3) through one int8 pass (bit 4) into the int16 array; with 7
-    it goes through the three int8 passes of bits 4-6, on the lookup's
-    transposed order, as unshrunk.  Stage 1's int16 passes run only
-    unshrunk, from n = 8."""
+    tables then cross many blocks and slabs, stage 2 runs its passes from
+    n = low_bits + 1 and the second half of the rows is merged into the
+    first from n = low_bits + 4, where a table spans more than two blocks.
+    With 5 low bits every block goes from the lookup (bits 0-3) through one
+    int8 pass (bit 4) into the int16 array; with 7 it goes through the
+    three int8 passes of bits 4-6, on the lookup's transposed order, as
+    unshrunk.  Stage 1's int16 passes run only unshrunk, from n = 8."""
     monkeypatch.setattr(polynomial, "_LOW_BITS", low_bits)
     monkeypatch.setattr(polynomial, "_BLOCK", 4 << low_bits)
     monkeypatch.setattr(polynomial, "_SLAB", 1 << 13)
@@ -220,7 +219,7 @@ def test_table_degree_matches_reference(n, shrunk, monkeypatch):
     # from n = 7 on, parity's values after the lookup and the 3 int8 passes
     # reach that stage's bound of 64 = 2^6 exactly, so one more int8 pass
     # would overflow; from n = 15 on, its values after the 14 low passes
-    # reach 2^13 and the merged top pass 2^14
+    # reach 2^13, and from n = 21 on the merged top pass 2^14
     # (test_table_degree_int16_headroom_of_the_merged_top_pass)
     if n >= 7:
         assert np.abs(reference_passes(tables["parity"], 7)).max() == 64
@@ -265,9 +264,10 @@ def test_mobius16_lookup_matches_reference():
     assert (lookup == reference_passes(patterns.reshape(-1), 4).reshape(-1, 16)).all()
 
 
-@pytest.mark.parametrize("bad", [2, -1, 255])
+@pytest.mark.parametrize("bad", [2, -1, 255, 0.5, 1.5, -0.5, float("nan")])
 def test_table_degree_refuses_entries_other_than_0_and_1(bad, monkeypatch):
-    table = np.zeros(1 << 9, dtype=np.int16)
+    # a float entry is refused, not read as a nonzero bit or cast to int16
+    table = np.zeros(1 << 9, dtype=np.float64 if isinstance(bad, float) else np.int16)
     table[300] = bad
     with pytest.raises(ValueError, match="0 or 1"):
         polynomial.table_degree(table)
@@ -287,8 +287,9 @@ def test_table_degree_refuses_entries_other_than_0_and_1(bad, monkeypatch):
 def test_table_degree_accepts_bool_and_uint8_tables():
     table = kernel_tables(np.random.default_rng(5), 9)["random"]
     expected = reference_degree(table)
-    for t in (table.astype(bool), table.astype(np.uint8), table.astype(np.int64)):
+    for t in (table.astype(bool), table.astype(np.uint8), table.astype(np.int64), table.astype(np.float64)):
         assert polynomial.table_degree(t) == expected
+        assert_coefficients_match_reference(t, 9)
         assert polynomial.table_degree(lambda start, stop: t[start:stop], 9) == expected
 
 
@@ -532,11 +533,13 @@ def test_threaded_failure_in_the_first_half_asks_for_no_second_half_range(monkey
     assert sorted(start // block for start, _ in ranges) == [0, 1, 2, 3]
 
 
-@pytest.mark.parametrize("n", [15, 16, 17])
+@pytest.mark.parametrize("n", [21, 22])
 def test_table_degree_int16_headroom_of_the_merged_top_pass(n):
     # parity's values after the 14 low passes reach +-2^13, so the merged
-    # top variable's pass reaches +-2^14, int16's headroom less one bit; at
-    # n = 15 each half of the rows is a single row
+    # top variable's pass reaches +-2^14, int16's headroom less one bit; the
+    # rows split from n = 21, where a table spans four stage-1 blocks, and
+    # n = 22 runs on every CPU
+    assert 1 << n > 2 * polynomial._BLOCK
     tables = kernel_tables(np.random.default_rng(500 + n), n)
     parity = tables["parity"]
     assert np.abs(reference_passes(parity, 14)).max() == 1 << 13
@@ -629,12 +632,12 @@ def test_finite_difference():
 # ---------------------------------------------------------------------------
 
 def brute_force_collapser(k):
-    """Independent lexicographic re-derivation straight from the definition."""
+    """Independent lexicographic re-derivation straight from the definition:
+    the first vector whose exact fit has degree k - 1, no finite difference
+    consulted."""
     for packed in range(1 << (k + 1)):
         values = tuple((packed >> (k - j)) & 1 for j in range(k + 1))
         if values[0] != 1 or values[1] != 0:
-            continue
-        if sum((-1) ** (k - i) * comb(k, i) * values[i] for i in range(k + 1)) != 0:
             continue
         p = fit_range_polynomial(values)
         if p.degree == k - 1:
@@ -659,7 +662,7 @@ def test_find_collapser_k3_matches_published_values():
     assert poly.coefficients == (Fraction(1), Fraction(-3, 2), Fraction(1, 2))
 
 
-@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("k", range(3, 16, 2))
 def test_find_collapser_is_lexicographically_minimal(k):
     values, _ = find_collapser(k)
     assert values == brute_force_collapser(k)
