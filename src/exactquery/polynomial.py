@@ -29,24 +29,46 @@ if TYPE_CHECKING:  # boolfn imports this module
 # 2^24 of them; every 2^n array is otherwise bounded by boolfn.MAX_N alone
 INTERPOLATION_CAP = 24
 
-# table_degree's stage-1 blocks (int16) and stage-2 slabs (int32) take about
-# 1 MB of cache each.  Stage 1 has three steps: the 4 lowest bits' passes
-# come from a lookup table of every 16-entry transform (int8, |value| <= 8),
-# the next 3 bits' passes run in int8 (|value| <= 64 after 7 passes) and the
-# rest in int16.  After 14 passes |value| <= 2^13, so the top variable's
-# pass that merges the second half of the rows into the first stays within
-# +-2^14; after 15 it could reach +2^15, which int16 cannot hold.  The lookup
-# gathers a block's rows with index bits 4-6 outermost, so their passes run
-# on runs of 1/8 of the block rather than of 16-64 entries.  A copy that
-# moves each 16-entry row as one 16-byte element puts the block back in
-# index order, and one contiguous copy widens it to int16: 0.08 ms a 2^19
-# block, against 0.18 ms for one int8 to int16 copy of the transposed block
-# in runs of 16 entries.  numpy 2.4.6 copies every operand of a pass
-# through its ufunc buffer when the pass's contiguous run is shorter than
-# half the buffer size (8192 elements by default): on 2^19 int16 entries,
-# runs of 1024-2048 cost 0.29-0.37 ns a subtraction and runs from 4096 on
-# 0.09-0.13 ns.  So every worker of _each runs its passes with the buffer
-# lowered to _BUFSIZE.
+# table_degree's stage-1 blocks (int16) take about 1 MB of cache and its
+# stage-2 slabs 512 KB (int16) or 1 MB (int32).  Stage 1 has three steps:
+# the 4 lowest bits' passes come from a lookup table of every 16-entry
+# transform (int8, |value| <= 8), the next 3 bits' passes run in int8
+# (|value| <= 64 after 7 passes) and the rest in int16.  After 14 passes
+# |value| <= 2^13, so the top variable's pass that merges the second half
+# of the rows into the first stays within +-2^14; after 15 it could reach
+# +2^15, which int16 cannot hold.  The lookup gathers a block's rows with
+# index bits 4-6 outermost, so their passes run on runs of 1/8 of the block
+# rather than of 16-64 entries.  A copy that moves each 16-entry row as one
+# 16-byte element puts the block back in index order, and one contiguous
+# copy widens it to int16: 0.08 ms a 2^19 block, against 0.18 ms for one
+# int8 to int16 copy of the transposed block in runs of 16 entries.
+# Stage 2 runs its passes in wrapping int16 first, which is arithmetic mod
+# 2^16, so it gives every coefficient c_S mod 2^16 exactly.  That is the
+# exact degree whenever the largest level |S| with c_S nonzero mod 2^16 is
+# at most 15 (table_degree reruns in int32 otherwise).  By Nisan-Szegedy,
+# |c_S| <= 2^(|S|-1) for a 0/1 function, so every c_S with |S| <= 16 is
+# nonzero mod 2^16 exactly when it is nonzero.  Suppose some c_S with
+# |S| >= 17 were nonzero, and take S minimal.  Pick U in S with |U| = 16,
+# set the variables of S - U to 1 and every other one outside U to 0: that
+# gives a 0/1 function h on U whose top coefficient is the sum of c_T over
+# U <= T <= S.  That sum is c_S, as c_U = 0 (level 16) and every other c_T
+# is 0 by minimality.  So |c_S| <= 2^15, but 2^16 divides c_S, and c_S = 0.
+# Phase 0's coefficients are those of the restriction x1 = 0, a 0/1
+# function of its own, so a phase-0 result below 16 is exact by itself;
+# phase 1 runs in int16 only after phase 0 did, so two results below 16
+# cover every coefficient.  The argument stops at 15: parity of 17
+# variables has c = 2^16 at level 17, and mod 2^16 its degree reads 16.
+# numpy 2.4.6 copies every operand of a pass through its ufunc buffer when
+# the pass's contiguous run is shorter than half the buffer size (8192
+# elements by default): on 2^19 int16 entries, runs of 1024-2048 cost
+# 0.29-0.37 ns a subtraction and runs from 4096 on 0.09-0.13 ns.  So every
+# worker of _each runs its passes with the buffer lowered to _BUFSIZE.
+# A 2^19-entry slab would halve the slabs.  It sped up stage 2 at n = 27
+# (lemma3:3,1: 134 -> 95 ms, min of 6 alternated calls), but f3k:7 sets
+# certify's median op, and its stage 2 went 0.91-0.97 -> 1.04-1.13 ms in
+# one prototype and stayed level in another run (min 1.35-1.79 against
+# 1.35-1.68 ms).  So _SLAB stays at 2^18 until a certify benchmark round
+# shows that f3k:7 does not slow.
 _LOW_BITS = 14
 _BLOCK = 1 << 19
 _SLAB = 1 << 18
@@ -170,7 +192,12 @@ def _each(step: Callable[[int], Any], count: int, workers: int, passes: bool = T
         for thread in threads:
             thread.join()
     if errors:
-        raise errors[min(errors)]
+        # the traceback holds this frame: emptied, the dict closes no cycle
+        # that would keep the caller's arrays until the next collection
+        try:
+            raise errors[min(errors)]
+        finally:
+            errors.clear()
     return results
 
 
@@ -199,17 +226,32 @@ def _row_source(
 _SCRATCH = threading.local()
 
 
-def _scratch(size: int) -> np.ndarray:
-    """The calling thread's int16 scratch block cut to ``size`` entries: one
-    array per thread, kept from call to call, whose contents never outlive
-    the block that wrote them.  One allocated per call (1 MB at n = 21)
-    took f3k:7's ``table_degree`` from 4.5 to 6.3 ms on a 2-vCPU host, as
-    glibc malloc then handed the heap back to the system and faulted it in
-    again on every call (1184 minor faults a call, against none)."""
-    seg = getattr(_SCRATCH, "seg", None)
-    if seg is None or seg.size < size:
-        seg = _SCRATCH.seg = np.empty(size, dtype=np.int16)
-    return seg[:size]
+def _scratch(nbytes: int) -> np.ndarray:
+    """The calling thread's scratch bytes, cut to ``nbytes``.  Each thread
+    keeps one uint8 array from call to call, grown to the largest size it
+    was asked for (3 * ``_BLOCK`` bytes, 1.5 MB, once a table spans a whole
+    stage-1 block), and nothing in it: every step writes the part it reads
+    first.  Stage 1 takes and moves a block's lookup rows and runs a merged
+    block's int16 passes in it, and stage 2 copies each slab into it, so a
+    warm call allocates no block- or slab-sized array.  The threads that
+    ``_each`` starts keep theirs until they end, within the call.  Arrays
+    allocated per call or per block made glibc malloc hand memory back to
+    the system and fault it in again on every call, on a 2-vCPU host: a
+    1 MB array a call, 1184 minor faults a call and f3k:7's
+    ``table_degree`` 4.5 -> 6.3 ms; stage 1's two 512 KB arrays a block,
+    once stage 2 allocated nothing, 992 faults and 3.3 -> 4.5 ms; none
+    with this array."""
+    buf = getattr(_SCRATCH, "buf", None)
+    if buf is None or buf.size < nbytes:
+        buf = _SCRATCH.buf = np.empty(nbytes, dtype=np.uint8)
+    return buf[:nbytes]
+
+
+_ROW = np.dtype((np.void, 16))  # one 16-entry int8 row of the stage-1 lookup
+
+
+class _Wraps(Exception):
+    """Raised by a stage-2 slab run in int16 whose level reaches 16."""
 
 
 def _low_passes(source: Callable[[int, int], np.ndarray], n: int, out: np.ndarray, merge: bool = False) -> None:
@@ -217,8 +259,8 @@ def _low_passes(source: Callable[[int, int], np.ndarray], n: int, out: np.ndarra
     the first ``out.size`` entries of a row source of 2^n entries into the
     int16 array ``out`` of 2^L columns or, with ``merge``, of the next
     ``out.size`` entries subtracted into it (``out`` = theirs - ``out``,
-    the pass of the variable that splits them).  A merged block runs its
-    passes in its thread's ``_scratch`` block.
+    the pass of the variable that splits them).  Each block's lookup rows,
+    and a merged block's int16 passes, go through its thread's ``_scratch``.
     """
     low = out.shape[1].bit_length() - 1
     block = min(_BLOCK, out.size)
@@ -230,13 +272,18 @@ def _low_passes(source: Callable[[int, int], np.ndarray], n: int, out: np.ndarra
         start = i * block
         rows = source(first + start, first + start + block)
         ids = np.packbits(as_01(rows)).view(">u2").reshape(-1, 1 << (narrow - 4))
-        seg8 = np.take(lookup, ids.T, axis=0)
+        # the lookup rows at bytes [0, block), moved to [2 block, 3 block),
+        # a merged block's int16 passes at [0, 2 block)
+        buf = _scratch(3 * block)
+        seg8 = buf[:block].view(np.int8).reshape(*ids.T.shape, 16)
+        np.take(lookup, ids.T, axis=0, out=seg8, mode="clip")  # every id < 2^16
         _subset_transform(seg8, narrow - 4, seg8[0].size)
         # back in index order, each 16-entry row moved as one 16-byte element
-        seg8 = np.ascontiguousarray(seg8.view(np.dtype((np.void, 16)))[..., 0].T).view(np.int8)
+        moved = buf[2 * block :].view(_ROW).reshape(ids.shape)
+        np.copyto(moved, seg8.view(_ROW)[..., 0].T)
         seg = out.reshape(-1)[start : start + block]
-        dst = _scratch(block) if merge else seg
-        dst[...] = seg8.reshape(-1)
+        dst = buf[: 2 * block].view(np.int16) if merge else seg
+        dst[...] = moved.view(np.int8).reshape(-1)
         _subset_transform(dst, low - narrow, 1 << narrow)
         if merge:
             np.subtract(dst, seg, out=seg)
@@ -261,9 +308,18 @@ def table_degree(
     Two cache-sized stages on one int16 array, without any 2^n-entry int32
     array.  Stage 1 (``_low_passes``) runs the L = min(n, 14) low-bit
     passes, index hi * 2^L + lo at row hi and column lo, on blocks of whole
-    rows as the comment on ``_LOW_BITS`` describes.  Stage 2 runs the
-    high-bit passes in int32 on one column slab at a time, keeping the
-    largest popcount(hi) + popcount(lo) over the slab's nonzero entries.
+    rows as the comment on ``_LOW_BITS`` describes.  Stage 2 copies one
+    column slab at a time into its thread's ``_scratch`` and runs the
+    high-bit passes there, keeping the largest popcount(hi) + popcount(lo)
+    over the slab's nonzero entries.  It runs them in wrapping int16, which
+    gives every coefficient mod 2^16 and, as that comment shows, the exact
+    degree when every level with a coefficient nonzero mod 2^16 is at most
+    15: every family the benchmark certifies (f3k:7, degree 12; lemma3:3,1,
+    degree 8).  Once a slab's level (plus 1 in phase 1) reaches 16, no
+    more int16 slabs are handed out, every slab of the phase runs again in
+    int32 from the int16 array, which stage 2 only reads, and a later phase
+    runs in int32 from the start.  int32 is exact, as every value of the
+    transform is at most 2^(n-1) in magnitude.
     Where the table spans more than two stage-1 blocks (``_BLOCK``; from
     n = 21 on), the rows split on the top row bit, the table's first
     variable, and the array holds half the table; a smaller table's array
@@ -300,16 +356,30 @@ def table_degree(
     # of their monomial less popcount(c0) (and less 1 in phase 1)
     weight = pc[: 1 << high, None] + pc[None, :cols] + 1
 
-    def stage2(i: int, phase: int) -> int:
+    def stage2(i: int, phase: int, dtype: type) -> int:
         c0 = i * cols
-        slab = _subset_transform(mid[:, c0 : c0 + cols].astype(np.int32), high, cols)
+        cut = mid[:, c0 : c0 + cols]
+        slab = _scratch(cut.size * np.dtype(dtype).itemsize).view(dtype).reshape(cut.shape)
+        np.copyto(slab, cut)
+        _subset_transform(slab, high, cols)
         peak = int((weight * (slab != 0)).max())
-        return peak - 1 + int(pc[c0]) + phase if peak else -1
+        level = peak - 1 + int(pc[c0]) + phase if peak else -1
+        if level >= 16 and dtype is np.int16:
+            raise _Wraps
+        return level
 
-    degree = 0  # an all-zero slab gives -1, and a constant table has degree 0
+    degree, wide = 0, False  # an all-zero slab gives -1, and a constant table has degree 0
     for phase in range(top + 1):
         _low_passes(source, n, mid, merge=bool(phase))
-        degree = max([degree, *_each(lambda i: stage2(i, phase), width // cols, _workers(n), high > 0)])
+        slabs = lambda dtype: _each(lambda i: stage2(i, phase, dtype), width // cols, _workers(n), high > 0)
+        if not wide:
+            try:
+                levels = slabs(np.int16)
+            except _Wraps:
+                wide = True
+        if wide:
+            levels = slabs(np.int32)
+        degree = max([degree, *levels])
     return degree
 
 

@@ -1,17 +1,21 @@
 """Mobius coefficients, degrees, range polynomials and collapsers."""
 
+import functools
+import gc
 import random
+import statistics
 import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from exactquery.boolfn import BooleanFunction, InputAssignment, compose_table, named_function
-from exactquery import polynomial
+from exactquery import lowdeg, polynomial
 from exactquery.polynomial import (
     collapser_transcription_report,
     degree_of,
@@ -548,6 +552,155 @@ def test_table_degree_int16_headroom_of_the_merged_top_pass(n):
     for table in (parity, 1 - parity):
         assert polynomial.table_degree(table) == n
         assert polynomial.table_degree(lambda start, stop: table[start:stop], n) == n
+
+
+def parity_table(n):
+    idx = np.arange(1 << n)
+    return np.bitwise_xor.reduce([(idx >> b) & 1 for b in range(n)]).astype(np.uint8)
+
+
+def popcounts(n):
+    idx = np.arange(1 << n)
+    return sum((idx >> b) & 1 for b in range(n))
+
+
+# tables whose degree is 16 or more, so table_degree's int16 stage 2 gives
+# way to int32; x1 is the top index bit
+RERUN_TABLES = {
+    "parity16": lambda: parity_table(16),
+    "parity17": lambda: parity_table(17),
+    "parity20": lambda: parity_table(20),
+    "and17": lambda: (np.arange(1 << 17) == (1 << 17) - 1).astype(np.uint8),
+    "x1-and-parity-x2-x17": lambda: np.concatenate([np.zeros(1 << 16, np.uint8), parity_table(16)]),
+    **{f"random{n}": (lambda n=n: np.random.default_rng(700 + n).integers(0, 2, 1 << n).astype(np.uint8))
+       for n in range(16, 23)},
+}
+
+
+@functools.cache
+def rerun_case(name):
+    """A table of RERUN_TABLES and its reference degree, built once."""
+    table = RERUN_TABLES[name]()
+    return table, reference_degree(table)
+
+
+@pytest.mark.parametrize("layout", ["unshrunk", "shrunk", "threaded"])
+@pytest.mark.parametrize("name", list(RERUN_TABLES))
+def test_table_degree_reruns_in_int32_from_level_16(name, layout, monkeypatch):
+    table, expected = rerun_case(name)
+    n = table.size.bit_length() - 1
+    if layout == "shrunk":
+        shrink_blocks(monkeypatch)
+        # a slab holds at least one whole column of 2^(n-6) rows: with 5
+        # low bits, the rows split from n = 9
+        monkeypatch.setattr(polynomial, "_SLAB", max(polynomial._SLAB, 1 << n >> 6))
+    elif layout == "threaded":
+        thread_blocks(monkeypatch, n)
+    assert polynomial.table_degree(table) == expected
+
+
+def test_parity_17_reads_degree_16_mod_2_16():
+    # the int16 argument stops at level 15: parity of 17 variables has its
+    # top coefficient (-2)^16 = 2^16, which wraps to 0, so its degree read
+    # mod 2^16 is 16 rather than 17
+    coeffs = reference_passes(parity_table(17), 17)
+    assert coeffs[-1] == 1 << 16
+    assert popcounts(17)[coeffs.astype(np.int16) != 0].max() == 16
+    assert polynomial.table_degree(parity_table(17)) == 17
+
+
+def slab_dtypes(monkeypatch):
+    """The dtype of every stage-2 slab that table_degree transforms, in
+    order: the 2-D arrays it hands _subset_transform (stage 1's are 1-D and
+    3-D)."""
+    seen = []
+    transform = polynomial._subset_transform
+
+    def spy(a, bits, run):
+        if a.ndim == 2:
+            seen.append(a.dtype)
+        return transform(a, bits, run)
+
+    monkeypatch.setattr(polynomial, "_subset_transform", spy)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "cf", [lowdeg.build_f3k(7), lowdeg.build_lemma3(3, 1)], ids=["f3k:7", "lemma3:3,1"]
+)
+def test_certified_families_run_stage_2_in_int16_alone(cf, monkeypatch):
+    # degrees 12 and 8, within the 15 that int16 proves
+    seen = slab_dtypes(monkeypatch)
+    assert lowdeg.certify(cf, mode="exact").computed_degree == cf.claimed_degree
+    assert seen and set(seen) == {np.dtype(np.int16)}
+
+
+def test_f3k_9_reruns_every_slab_in_int32(monkeypatch):
+    # degree 16, the one shipped family that needs the rerun: some int16
+    # slabs of phase 0, then every slab of both phases once in int32
+    seen = slab_dtypes(monkeypatch)
+    cf = lowdeg.build_f3k(9)
+    assert lowdeg.certify(cf, mode="exact").computed_degree == 16
+    k = seen.index(np.dtype(np.int32))
+    assert k >= 1 and set(seen[:k]) == {np.dtype(np.int16)}
+    assert seen[k:] == [np.dtype(np.int32)] * ((1 << cf.n) // polynomial._SLAB)
+
+
+def test_table_degree_reruns_after_the_first_slab_at_level_16(monkeypatch):
+    table, expected = rerun_case("random18")
+    seen = slab_dtypes(monkeypatch)
+    # unsplit, one slab: it reaches 16 and runs once more in int32
+    assert one_worker_degree(monkeypatch, table, None) == expected == 18
+    assert seen == [np.dtype(np.int16), np.dtype(np.int32)]
+    # shrunk, 16 slabs a phase: the first column slabs stay below 16, no
+    # int16 slab is handed out after the first that reaches it, and the
+    # rerun and phase 1 run every slab in int32
+    seen.clear()
+    shrink_blocks(monkeypatch)
+    assert one_worker_degree(monkeypatch, table, None) == expected
+    k = seen.index(np.dtype(np.int32))
+    assert 1 < k < 16 and set(seen[:k]) == {np.dtype(np.int16)}
+    assert seen[k:] == [np.dtype(np.int32)] * 32
+
+
+def test_table_degree_holds_no_array_after_it_returns_or_raises():
+    # the int16 slab that reaches 16 raises out of _each, and so does a bad
+    # entry: neither exception may keep the 2 MB half-table alive until the
+    # next garbage collection
+    table, _ = rerun_case("random21")
+    bad = table.copy()
+    bad[-1] = 2
+    polynomial.table_degree(table)  # the thread's scratch array, kept
+    gc.disable()
+    tracemalloc.start()
+    try:
+        assert polynomial.table_degree(table) == 21
+        after_rerun = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(ValueError, match="0 or 1"):
+            polynomial.table_degree(bad)
+        after_error = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert after_rerun < 1 << 16 and after_error < 1 << 16
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts glibc malloc's page faults")
+def test_table_degree_warm_calls_fault_in_no_memory():
+    # a 512 KB or 1 MB array allocated per block or per slab can make glibc
+    # malloc hand memory back to the system and fault it in again on every
+    # call: 992 minor faults a call, against none with the scratch arrays
+    resource = pytest.importorskip("resource")
+    cf = lowdeg.build_f3k(7)
+    source = replace(cf, structure=lowdeg._in_block_order(cf.structure)).table
+    for _ in range(2):
+        polynomial.table_degree(source, cf.n)
+    faults = []
+    for _ in range(5):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert polynomial.table_degree(source, cf.n) == 12
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert statistics.median(faults) < 64, faults
 
 
 def test_random_functions_round_trip():
